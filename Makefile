@@ -16,13 +16,16 @@ GO ?= go
 # booted waved), and the cache smoke (the caching tier renders
 # byte-identical cold and warm answers across every scheme, technique,
 # and shard count, and a mid-transition crash never leaves a stale
-# entry servable, under -race).
+# entry servable, under -race), and the perf smoke (the wall-clock
+# benchmark harness under perf/ still builds against the library and
+# runs one workload with no failed operation).
 .PHONY: check vet build test race bench-smoke metrics-smoke chaos-smoke \
 	shard-smoke netchaos-smoke cache-smoke bench-record bench-record-smoke \
-	bench-gate obs-smoke
+	bench-gate obs-smoke perf-smoke
 
 check: vet build race bench-smoke metrics-smoke chaos-smoke shard-smoke \
-	netchaos-smoke cache-smoke bench-record-smoke bench-gate obs-smoke
+	netchaos-smoke cache-smoke bench-record-smoke bench-gate obs-smoke \
+	perf-smoke
 
 vet:
 	$(GO) vet ./...
@@ -77,6 +80,15 @@ obs-smoke:
 	./.obs-smoke/wavetop -addr 127.0.0.1:7461 -once | grep -q 'SHARDS' && \
 	./.obs-smoke/wavetop -addr 127.0.0.1:7461 -once | grep -q 'EVENTS'
 	rm -rf .obs-smoke
+
+# perf-smoke builds the BENCHMARK.json harness and runs one two-second
+# workload through a real waved child. perf/ calls the library and the
+# daemon as any embedder would, and a PR that is not a benchmark PR may
+# not edit it — so an API change that breaks the harness, or makes an
+# operation fail, has to fail here first. The harness's last line is its
+# JSON verdict.
+perf-smoke:
+	bash -o pipefail -c 'bash perf/run.sh --workload probe_cached --seed 1 --seconds 2 --trace 0 | tail -n 1 | grep "\"failed\":0"'
 
 # bench-record writes a full-length bench trajectory to bench/ for
 # regression tracking; compare two recordings with

@@ -147,7 +147,7 @@ type app struct {
 	ln         net.Listener
 	admin      *telemetry.Server
 	sink       *telemetry.SpanSink
-	b          server.Backend
+	b          wave.Backend
 	jr         *wave.Journaled
 	router     *shard.Router
 	bus        *obs.Bus        // fleet-wide event timeline
@@ -288,7 +288,7 @@ func newApp(cfg config) (*app, error) {
 		// Each completed transition publishes a cache.invalidate event
 		// when constituent generations purged cached results.
 		a.spanEvents.SetCacheSampler(func() (int64, int64) {
-			ci := a.cacheInfo()
+			ci := a.b.CacheInfo()
 			return ci.Results.Invalidated, ci.Results.Entries
 		})
 	}
@@ -310,7 +310,7 @@ func newApp(cfg config) (*app, error) {
 			Spans:   a.sink,
 			Events:  a.bus,
 			SLO:     a.slo.Report,
-			Cache:   a.cacheInfo,
+			Cache:   a.b.CacheInfo,
 		}
 		if a.router != nil {
 			topts.ShardMetrics = a.router.ShardMetrics
@@ -339,15 +339,6 @@ func (a *app) health() telemetry.Health {
 		h.OpenBreakers = len(a.router.OpenBreakers())
 	}
 	return h
-}
-
-// cacheInfo fetches the backend's caching-tier snapshot (zero when the
-// backend does not expose one, or before it is built).
-func (a *app) cacheInfo() wave.CacheInfo {
-	if cb, ok := a.b.(interface{ CacheInfo() wave.CacheInfo }); ok {
-		return cb.CacheInfo()
-	}
-	return wave.CacheInfo{}
 }
 
 // breakerStatus adapts the router's breaker states for /metrics.

@@ -20,7 +20,7 @@ func TestRunAgainstInProcessServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(idx)
+	srv := server.NewBackend(idx, server.Options{})
 	go srv.Serve(l)
 	defer func() { srv.Close(); l.Close() }()
 

@@ -34,18 +34,12 @@ type ResultCache struct {
 	invalidated int64
 }
 
-// Result kinds. The kind is part of the key so a probe for key "" and an
-// aggregate over the same range cannot collide.
-const (
-	resProbe uint8 = iota + 1
-	resCount
-	resDayCounts
-	resKeyCounts
-)
-
+// resKey identifies one memoized result. kind is part of the key so a
+// probe for key "" and an aggregate over the same range cannot collide:
+// 0 is a probe bucket, anything else the AggKind of a fold partial.
 type resKey struct {
 	gen    uint64
-	kind   uint8
+	kind   AggKind
 	key    string // probe key; empty for aggregates
 	t1, t2 int
 }
@@ -55,9 +49,7 @@ type resEntry struct {
 	cost int64
 
 	probe []index.Entry
-	count int
-	days  map[int]int
-	keys  map[string]int
+	agg   Agg
 }
 
 // NewResultCache returns a cache bounded to capRows result rows, or nil
@@ -175,7 +167,7 @@ func (rc *ResultCache) GetProbe(gen uint64, key string, t1, t2 int) ([]index.Ent
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	e, ok := rc.get(resKey{gen: gen, kind: resProbe, key: key, t1: t1, t2: t2})
+	e, ok := rc.get(resKey{gen: gen, key: key, t1: t1, t2: t2})
 	if !ok {
 		return nil, false
 	}
@@ -189,7 +181,7 @@ func (rc *ResultCache) PutProbe(gen uint64, key string, t1, t2 int, es []index.E
 		return
 	}
 	e := &resEntry{
-		key:   resKey{gen: gen, kind: resProbe, key: key, t1: t1, t2: t2},
+		key:   resKey{gen: gen, key: key, t1: t1, t2: t2},
 		cost:  cost(len(es)),
 		probe: append([]index.Entry(nil), es...),
 	}
@@ -198,80 +190,29 @@ func (rc *ResultCache) PutProbe(gen uint64, key string, t1, t2 int, es []index.E
 	rc.mu.Unlock()
 }
 
-// GetCount returns a cached per-constituent entry count.
-func (rc *ResultCache) GetCount(gen uint64, t1, t2 int) (int, bool) {
+// GetAgg returns a cached per-constituent fold partial. Its maps are
+// shared: callers must treat them as read-only.
+func (rc *ResultCache) GetAgg(gen uint64, kind AggKind, t1, t2 int) (Agg, bool) {
 	if rc == nil {
-		return 0, false
+		return Agg{}, false
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	e, ok := rc.get(resKey{gen: gen, kind: resCount, t1: t1, t2: t2})
+	e, ok := rc.get(resKey{gen: gen, kind: kind, t1: t1, t2: t2})
 	if !ok {
-		return 0, false
+		return Agg{}, false
 	}
-	return e.count, true
+	return e.agg, true
 }
 
-// PutCount caches a per-constituent entry count.
-func (rc *ResultCache) PutCount(gen uint64, t1, t2 int, n int) {
+// PutAgg caches a per-constituent fold partial, costed by the rows it
+// groups into (a bare count is one row). The cache takes ownership of
+// a's maps; the producer must not mutate them afterwards.
+func (rc *ResultCache) PutAgg(gen uint64, kind AggKind, t1, t2 int, a Agg) {
 	if rc == nil {
 		return
 	}
-	e := &resEntry{key: resKey{gen: gen, kind: resCount, t1: t1, t2: t2}, cost: 1, count: n}
-	rc.mu.Lock()
-	rc.put(e)
-	rc.mu.Unlock()
-}
-
-// GetDayCounts returns a cached per-constituent day histogram. The map
-// is shared: callers must treat it as read-only.
-func (rc *ResultCache) GetDayCounts(gen uint64, t1, t2 int) (map[int]int, bool) {
-	if rc == nil {
-		return nil, false
-	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	e, ok := rc.get(resKey{gen: gen, kind: resDayCounts, t1: t1, t2: t2})
-	if !ok {
-		return nil, false
-	}
-	return e.days, true
-}
-
-// PutDayCounts caches a per-constituent day histogram. The cache takes
-// ownership of m; the producer must not mutate it afterwards.
-func (rc *ResultCache) PutDayCounts(gen uint64, t1, t2 int, m map[int]int) {
-	if rc == nil {
-		return
-	}
-	e := &resEntry{key: resKey{gen: gen, kind: resDayCounts, t1: t1, t2: t2}, cost: cost(len(m)), days: m}
-	rc.mu.Lock()
-	rc.put(e)
-	rc.mu.Unlock()
-}
-
-// GetKeyCounts returns a cached per-constituent key frequency map. The
-// map is shared: callers must treat it as read-only.
-func (rc *ResultCache) GetKeyCounts(gen uint64, t1, t2 int) (map[string]int, bool) {
-	if rc == nil {
-		return nil, false
-	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	e, ok := rc.get(resKey{gen: gen, kind: resKeyCounts, t1: t1, t2: t2})
-	if !ok {
-		return nil, false
-	}
-	return e.keys, true
-}
-
-// PutKeyCounts caches a per-constituent key frequency map. The cache
-// takes ownership of m; the producer must not mutate it afterwards.
-func (rc *ResultCache) PutKeyCounts(gen uint64, t1, t2 int, m map[string]int) {
-	if rc == nil {
-		return
-	}
-	e := &resEntry{key: resKey{gen: gen, kind: resKeyCounts, t1: t1, t2: t2}, cost: cost(len(m)), keys: m}
+	e := &resEntry{key: resKey{gen: gen, kind: kind, t1: t1, t2: t2}, cost: cost(len(a.Days) + len(a.Keys)), agg: a}
 	rc.mu.Lock()
 	rc.put(e)
 	rc.mu.Unlock()

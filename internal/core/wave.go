@@ -762,156 +762,129 @@ const (
 	maxDay = 1 << 30
 )
 
-// aggPlan is the shared preamble of the memoized aggregates: the pinned
-// snapshot's qualifying targets plus everything the per-constituent
-// workers need. It is only built when a result cache is installed;
-// callers without one fall back to the scan-derived (byte-identical)
-// aggregate path.
-type aggPlan struct {
-	targets []Searcher
-	cons    []Constituent // aligned with targets
-	gens    []uint64      // aligned with targets
-	eng     *Engine
-	rc      *ResultCache
+// AggKind selects what Wave.AggregateCtx folds over the qualifying
+// entries.
+type AggKind uint8
+
+// The aggregate kinds. Every kind counts entries; the latter two also
+// group them.
+const (
+	AggCount AggKind = iota + 1 // entry count only
+	AggDays                     // entries per insertion day
+	AggKeys                     // entries per search value
+)
+
+// Agg is an aggregate over a day range: N entries, grouped into Days or
+// Keys when the kind asks for it (the other map stays nil).
+type Agg struct {
+	N    int
+	Days map[int]int
+	Keys map[string]int
 }
 
-// aggBegin pins a query snapshot and builds the aggregate plan. The
-// returned end func must be called exactly once (it releases the
-// snapshot); ok is false when no result cache is installed.
-func (w *Wave) aggBegin(t1, t2 int) (plan aggPlan, end func(), ok bool, err error) {
-	cons, gens, eng, rc := w.beginQuery()
-	end = w.endQuery
-	if rc == nil {
-		return aggPlan{}, end, false, nil
+func newAgg(kind AggKind) Agg {
+	switch kind {
+	case AggDays:
+		return Agg{Days: make(map[int]int)}
+	case AggKeys:
+		return Agg{Keys: make(map[string]int)}
 	}
+	return Agg{}
+}
+
+// add folds b into a.
+func (a *Agg) add(b Agg) {
+	a.N += b.N
+	for d, v := range b.Days {
+		a.Days[d] += v
+	}
+	for k, v := range b.Keys {
+		a.Keys[k] += v
+	}
+}
+
+// AggregateCtx folds the entries inserted in [t1, t2] into one Agg:
+// every qualifying constituent is scanned once on the wave's engine,
+// each into its own partial, and the partials are summed. With a result
+// cache installed the partials are memoized per constituent generation,
+// so a repeated aggregate re-scans only what a transition rebuilt;
+// without one the same fold runs and nothing is kept. The returned maps
+// are freshly allocated.
+func (w *Wave) AggregateCtx(ctx context.Context, kind AggKind, t1, t2 int) (Agg, error) {
+	cons, gens, eng, rc := w.beginQuery()
+	defer w.endQuery()
+	qm, tr := w.instrumentation()
+	tid := TraceIDFrom(ctx)
 	targets, slots, err := searchTargets(cons, t1, t2)
 	if err != nil {
-		return aggPlan{}, end, true, err
+		return Agg{}, err
 	}
-	qm, _ := w.instrumentation()
 	qm.Constituents.Add(int64(len(targets)))
 	qm.Workers.Observe(workersFor(eng, len(targets)))
-	plan = aggPlan{targets: targets, eng: eng, rc: rc}
-	plan.cons = make([]Constituent, len(targets))
-	plan.gens = make([]uint64, len(targets))
-	for i, slot := range slots {
-		plan.cons[i] = cons[slot]
-		plan.gens[i] = gens[slot]
-	}
-	return plan, end, true, nil
-}
-
-// AggCountCtx counts the entries in [t1, t2], summing per-constituent
-// counts memoized in the result cache. ok is false when no cache is
-// installed (callers should then derive the count from a scan).
-func (w *Wave) AggCountCtx(ctx context.Context, t1, t2 int) (n int, ok bool, err error) {
-	plan, end, ok, err := w.aggBegin(t1, t2)
-	defer end()
-	if !ok || err != nil {
-		return 0, ok, err
-	}
-	counts := make([]int, len(plan.targets))
-	err = plan.eng.RunCtx(ctx, len(plan.targets), func(i int) error {
-		ct1, ct2 := clampRange(plan.cons[i], t1, t2)
-		if v, hit := plan.rc.GetCount(plan.gens[i], ct1, ct2); hit {
-			counts[i] = v
-			return nil
-		}
-		v := 0
-		if err := plan.targets[i].Scan(ct1, ct2, func(string, index.Entry) bool { v++; return true }); err != nil {
-			return err
-		}
-		plan.rc.PutCount(plan.gens[i], ct1, ct2, v)
-		counts[i] = v
-		return nil
+	per := make([]Agg, len(targets))
+	err = eng.RunCtx(ctx, len(targets), func(i int) error {
+		var err error
+		per[i], err = aggOne(ctx, targets[i], cons[slots[i]], gens[slots[i]], rc, kind, t1, t2, slots[i], tr, tid)
+		return err
 	})
 	if err != nil {
-		return 0, true, err
+		return Agg{}, err
 	}
-	for _, v := range counts {
-		n += v
+	out := newAgg(kind)
+	for _, p := range per {
+		out.add(p)
 	}
-	return n, true, nil
+	return out, nil
 }
 
-// AggDayCountsCtx returns per-day entry counts over [t1, t2], summing
-// per-constituent day histograms memoized in the result cache. The
-// returned map is freshly allocated. ok is false when no cache is
-// installed.
-func (w *Wave) AggDayCountsCtx(ctx context.Context, t1, t2 int) (out map[int]int, ok bool, err error) {
-	plan, end, ok, err := w.aggBegin(t1, t2)
-	defer end()
-	if !ok || err != nil {
-		return nil, ok, err
+// aggOne folds one constituent, going through the result cache when one
+// is installed. Like probeOne, cached folds use the generation-stable
+// clamped range and uncached ones keep the caller's range verbatim. A
+// cached partial's maps are shared and must be treated as read-only.
+func aggOne(ctx context.Context, s Searcher, c Constituent, gen uint64, rc *ResultCache, kind AggKind, t1, t2, slot int, tr Tracer, tid string) (Agg, error) {
+	if rc != nil {
+		t1, t2 = clampRange(c, t1, t2)
+		if a, ok := rc.GetAgg(gen, kind, t1, t2); ok {
+			return a, nil
+		}
 	}
-	per := make([]map[int]int, len(plan.targets))
-	err = plan.eng.RunCtx(ctx, len(plan.targets), func(i int) error {
-		ct1, ct2 := clampRange(plan.cons[i], t1, t2)
-		if m, hit := plan.rc.GetDayCounts(plan.gens[i], ct1, ct2); hit {
-			per[i] = m
-			return nil
+	a := newAgg(kind)
+	start := time.Now()
+	err := s.Scan(t1, t2, func(k string, e index.Entry) bool {
+		a.N++
+		// Cancellation is polled every 1024 entries so an idle ctx costs
+		// nothing on the per-entry hot path.
+		if a.N&1023 == 0 && ctx.Err() != nil {
+			return false
 		}
-		m := make(map[int]int)
-		if err := plan.targets[i].Scan(ct1, ct2, func(_ string, e index.Entry) bool {
-			m[int(e.Day)]++
-			return true
-		}); err != nil {
-			return err
+		switch kind {
+		case AggDays:
+			a.Days[int(e.Day)]++
+		case AggKeys:
+			a.Keys[k]++
 		}
-		plan.rc.PutDayCounts(plan.gens[i], ct1, ct2, m)
-		per[i] = m
-		return nil
+		return true
+	})
+	if err == nil {
+		err = ctx.Err()
+	}
+	emit(tr, TraceEvent{
+		Kind: "scan.constituent", Start: start, Duration: time.Since(start),
+		From: t1, To: t2, Constituent: slot, Entries: a.N, TraceID: tid, Err: err,
 	})
 	if err != nil {
-		return nil, true, err
+		return Agg{}, err
 	}
-	out = make(map[int]int)
-	for _, m := range per {
-		for d, v := range m {
-			out[d] += v
-		}
-	}
-	return out, true, nil
+	rc.PutAgg(gen, kind, t1, t2, a)
+	return a, nil
 }
 
-// AggKeyCountsCtx returns per-key entry counts over [t1, t2], summing
-// per-constituent key frequency maps memoized in the result cache. The
-// returned map is freshly allocated. ok is false when no cache is
-// installed.
-func (w *Wave) AggKeyCountsCtx(ctx context.Context, t1, t2 int) (out map[string]int, ok bool, err error) {
-	plan, end, ok, err := w.aggBegin(t1, t2)
-	defer end()
-	if !ok || err != nil {
-		return nil, ok, err
-	}
-	per := make([]map[string]int, len(plan.targets))
-	err = plan.eng.RunCtx(ctx, len(plan.targets), func(i int) error {
-		ct1, ct2 := clampRange(plan.cons[i], t1, t2)
-		if m, hit := plan.rc.GetKeyCounts(plan.gens[i], ct1, ct2); hit {
-			per[i] = m
-			return nil
-		}
-		m := make(map[string]int)
-		if err := plan.targets[i].Scan(ct1, ct2, func(k string, _ index.Entry) bool {
-			m[k]++
-			return true
-		}); err != nil {
-			return err
-		}
-		plan.rc.PutKeyCounts(plan.gens[i], ct1, ct2, m)
-		per[i] = m
-		return nil
-	})
-	if err != nil {
-		return nil, true, err
-	}
-	out = make(map[string]int)
-	for _, m := range per {
-		for k, v := range m {
-			out[k] += v
-		}
-	}
-	return out, true, nil
+// AggKeyCountsCtx is AggregateCtx(AggKeys) in the shape perf/'s core
+// rung calls; ok is always true now that the fold runs with or without a
+// result cache.
+func (w *Wave) AggKeyCountsCtx(ctx context.Context, t1, t2 int) (map[string]int, bool, error) {
+	a, err := w.AggregateCtx(ctx, AggKeys, t1, t2)
+	return a.Keys, true, err
 }
 
 // sortEntries orders probe results by (day, record) so results are

@@ -12,7 +12,7 @@ import (
 
 // startObsServer boots a server over the given backend with an event
 // bus and SLO engine wired, returning a dialled client plus the bus.
-func startObsServer(t *testing.T, b Backend, opts Options) (*Client, *obs.Bus) {
+func startObsServer(t *testing.T, b wave.Backend, opts Options) (*Client, *obs.Bus) {
 	t.Helper()
 	bus := obs.NewBus(128)
 	opts.Events = bus
@@ -167,7 +167,7 @@ func TestEventsCommandWithoutBusErrs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(idx)
+	srv := NewBackend(idx, Options{})
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close(); l.Close(); idx.Close() })
 	c, err := Dial(l.Addr().String())

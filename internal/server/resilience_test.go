@@ -277,7 +277,7 @@ func TestClientAddDayIdempotentRetry(t *testing.T) {
 	// Reset the connection on the server's first write: the ADDDAY ack.
 	faults.FailSchedule(netfault.OpWrite, netfault.ActReset, nil, 1)
 	l := netfault.WrapListener(raw, faults)
-	srv := New(idx)
+	srv := NewBackend(idx, Options{})
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
 	t.Cleanup(func() {

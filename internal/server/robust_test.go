@@ -23,7 +23,7 @@ func startServerOpts(t *testing.T, cfg wave.Config, opts Options) (*Server, net.
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewWithOptions(idx, opts)
+	srv := NewBackend(idx, opts)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
 	t.Cleanup(func() {
@@ -180,7 +180,7 @@ func TestJournaledServerRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewJournaled(jr, Options{})
+	srv := NewBackend(jr, Options{})
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
 	t.Cleanup(func() {

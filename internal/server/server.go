@@ -157,40 +157,20 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Backend is what the server needs from the thing it serves: the full
-// wave.Querier read surface plus ingestion, health, and observability.
-// It is satisfied by *wave.Index, *wave.Journaled, and *shard.Router,
-// so one server binary fronts a plain index, a crash-safe index, or a
-// sharded fleet without caring which.
-type Backend interface {
-	wave.Querier
-	AddDay(day int, postings []wave.Posting) error
-	AddDayAsync(day int, postings []wave.Posting) error
-	Flush() error
-	NeedsRecovery() bool
-	Degraded() bool
-	Metrics() wave.MetricsSnapshot
-	SlowQueries() []wave.SlowQuery
-	SetSlowQueryThreshold(d time.Duration)
-	Work() []wave.CauseStats
-	// Close releases the backend. The server never calls it; it is here
-	// so embedders can manage the backend's lifecycle through the same
-	// handle they serve.
-	Close() error
-}
-
-// Recoverer is the optional recovery surface of a Backend. Journaled
-// indexes and journaled shard routers implement it; RECOVER is refused
-// when the backend does not. A backend that additionally reports
-// Journaled() false (a shard.Router built without journals carries the
-// method but no journal) is likewise refused.
+// Recoverer is the optional recovery surface of a backend. Journaled
+// indexes and shard routers implement it; RECOVER is refused when the
+// backend does not, or when it reports Journaled() false (a
+// shard.Router built without journals carries the methods but no
+// journal).
 type Recoverer interface {
 	Recover() (*wave.RecoveryReport, error)
+	Journaled() bool
 }
 
 // Server serves a wave backend over a listener.
 type Server struct {
-	b    Backend
+	b    wave.Backend
+	q    wave.Queries // the derived queries over b
 	opts Options
 
 	lim    *limiter          // admission control; nil = unlimited
@@ -206,30 +186,17 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 }
 
-// New returns a server for the index. The server takes over maintenance:
-// callers must not invoke idx.AddDay concurrently with Serve.
-func New(idx *wave.Index) *Server {
-	return NewWithOptions(idx, Options{})
-}
-
-// NewWithOptions is New with explicit connection-handling options.
-func NewWithOptions(idx *wave.Index, opts Options) *Server {
-	return NewBackend(idx, opts)
-}
-
-// NewJournaled serves a journaled index: ADDDAY runs through the
-// transition journal, HEALTH reports recovery state, and RECOVER runs
-// the recovery protocol. Queries always go to the journal's current
-// index, which recovery may replace.
-func NewJournaled(j *wave.Journaled, opts Options) *Server {
-	return NewBackend(j, opts)
-}
-
-// NewBackend serves any Backend — plain, journaled, or sharded.
-func NewBackend(b Backend, opts Options) *Server {
+// NewBackend serves any wave.Backend — a plain *wave.Index, a crash-safe
+// *wave.Journaled (ADDDAY runs through the transition journal, RECOVER
+// runs the recovery protocol), or a *shard.Router fleet — without caring
+// which. The server takes over maintenance: callers must not invoke the
+// backend's AddDay concurrently with Serve, and the server never closes
+// it.
+func NewBackend(b wave.Backend, opts Options) *Server {
 	opts = opts.withDefaults()
 	return &Server{
 		b:      b,
+		q:      wave.Over(b),
 		opts:   opts,
 		lim:    newLimiter(opts.MaxInFlight, opts.AdmissionWait),
 		dedupe: newDedupeCache(1024),
@@ -248,13 +215,8 @@ func (s *Server) MetricsSnapshot() wave.MetricsSnapshot {
 
 // journaled reports whether the backend supports RECOVER.
 func (s *Server) journaled() bool {
-	if _, ok := s.b.(Recoverer); !ok {
-		return false
-	}
-	if j, ok := s.b.(interface{ Journaled() bool }); ok {
-		return j.Journaled()
-	}
-	return true
+	r, ok := s.b.(Recoverer)
+	return ok && r.Journaled()
 }
 
 // Serve accepts connections until the listener is closed.
@@ -482,7 +444,7 @@ func (s *Server) handle(conn net.Conn) {
 				s.metrics(out)
 			}
 		case "CACHE":
-			err = s.cache(out)
+			s.cache(out)
 		case "EVENTS":
 			err = s.events(out, fields[1:])
 		case "SLO":
@@ -663,7 +625,7 @@ func (s *Server) health(out *bufio.Writer) {
 
 func (s *Server) recover(out *bufio.Writer) error {
 	rec, ok := s.b.(Recoverer)
-	if !ok || !s.journaled() {
+	if !ok || !rec.Journaled() {
 		return errors.New("RECOVER requires a journaled index (start waved with -journal)")
 	}
 	s.mu.Lock()
@@ -693,7 +655,7 @@ func (s *Server) probe(ctx context.Context, out *bufio.Writer, args []string, ra
 	var err error
 	switch {
 	case !ranged && len(args) == 1:
-		es, err = s.b.Probe(ctx, args[0])
+		es, err = s.q.Probe(ctx, args[0])
 	case ranged && len(args) == 3:
 		var from, to int
 		if from, err = strconv.Atoi(args[1]); err != nil {
@@ -755,24 +717,23 @@ func (s *Server) mprobe(ctx context.Context, out *bufio.Writer, args []string) e
 }
 
 func (s *Server) count(ctx context.Context, out *bufio.Writer, args []string) error {
-	var err error
-	n := 0
-	visit := func(string, wave.Entry) bool { n++; return true }
+	from, to := s.b.Window()
 	switch len(args) {
 	case 0:
-		err = s.b.Scan(ctx, visit)
 	case 2:
-		var from, to int
+		var err error
 		if from, err = strconv.Atoi(args[0]); err != nil {
 			return fmt.Errorf("bad from: %w", err)
 		}
 		if to, err = strconv.Atoi(args[1]); err != nil {
 			return fmt.Errorf("bad to: %w", err)
 		}
-		err = s.b.ScanRange(ctx, from, to, visit)
 	default:
 		return errors.New("usage: COUNT [<from> <to>]")
 	}
+	// The fold, not a scan: a cache-on backend answers from memoized
+	// per-constituent partials, and a router sums one count per shard.
+	n, err := s.q.CountRange(ctx, from, to)
 	if err != nil {
 		return err
 	}
@@ -883,15 +844,12 @@ func (s *Server) events(out *bufio.Writer, args []string) error {
 	return nil
 }
 
-// cache streams the caching-tier snapshot when the backend carries one:
-// one BLOCKS line (the block buffer pool summed across stores and
-// shards), one RESULTS line (the per-constituent result cache), and one
-// GEN line per wave slot with its current constituent generation.
-func (s *Server) cache(out *bufio.Writer) error {
-	ci, ok := s.backendCacheInfo()
-	if !ok {
-		return errors.New("backend does not expose cache information")
-	}
+// cache streams the caching-tier snapshot: one BLOCKS line (the block
+// buffer pool summed across stores and shards), one RESULTS line (the
+// per-constituent result cache), and one GEN line per wave slot with its
+// current constituent generation.
+func (s *Server) cache(out *bufio.Writer) {
+	ci := s.b.CacheInfo()
 	b2i := func(b bool) int {
 		if b {
 			return 1
@@ -910,18 +868,6 @@ func (s *Server) cache(out *bufio.Writer) error {
 		n++
 	}
 	fmt.Fprintf(out, "END %d\n", n)
-	return nil
-}
-
-// backendCacheInfo fetches the backend's caching-tier snapshot through
-// the optional-capability interface (all three backend shapes carry it;
-// embedders' custom backends may not).
-func (s *Server) backendCacheInfo() (wave.CacheInfo, bool) {
-	ciB, ok := s.b.(interface{ CacheInfo() wave.CacheInfo })
-	if !ok {
-		return wave.CacheInfo{}, false
-	}
-	return ciB.CacheInfo(), true
 }
 
 // slo streams the SLO report: one "OBJ ..." line with the objectives,
@@ -1007,7 +953,7 @@ func (s *Server) topk(ctx context.Context, out *bufio.Writer, args []string) err
 		return fmt.Errorf("bad k %q", args[0])
 	}
 	from, to := s.b.Window()
-	top, err := s.b.TopKeys(ctx, k, from, to)
+	top, err := s.q.TopKeys(ctx, k, from, to)
 	if err != nil {
 		return err
 	}

@@ -23,7 +23,7 @@ func startServer(t *testing.T, cfg wave.Config) (*Client, *wave.Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(idx)
+	srv := NewBackend(idx, Options{})
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
 	t.Cleanup(func() {
@@ -120,6 +120,39 @@ func TestEndToEndLifecycle(t *testing.T) {
 	}
 }
 
+// TestCountAnswersFromResultCache: COUNT goes through the aggregate
+// fold, so on a cache-on backend a repeated COUNT is answered from the
+// memoized per-constituent partials without touching the store — the
+// path TOPK already took.
+func TestCountAnswersFromResultCache(t *testing.T) {
+	c, idx := startServer(t, wave.Config{Window: 4, Indexes: 2, Scheme: wave.DEL, CacheResults: 1 << 12})
+	for d := 1; d <= 6; d++ {
+		if err := c.AddDay(d, postingsFor(d, 6)); err != nil {
+			t.Fatalf("AddDay(%d): %v", d, err)
+		}
+	}
+	for _, r := range [][2]int{{0, 0}, {4, 5}} {
+		cold, err := c.Count(r[0], r[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, reads := idx.CacheInfo().Results.Hits, idx.Stats().Store.BlocksRead
+		warm, err := c.Count(r[0], r[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm != cold {
+			t.Errorf("COUNT %v: warm %d != cold %d", r, warm, cold)
+		}
+		if idx.CacheInfo().Results.Hits == hits {
+			t.Errorf("COUNT %v: repeated count never hit the result cache", r)
+		}
+		if got := idx.Stats().Store.BlocksRead; got != reads {
+			t.Errorf("COUNT %v: repeated count read %d blocks, want 0", r, got-reads)
+		}
+	}
+}
+
 func TestServerErrors(t *testing.T) {
 	c, _ := startServer(t, wave.Config{Window: 3, Indexes: 2})
 	// Probe before ready.
@@ -150,7 +183,7 @@ func TestRawProtocolErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(idx)
+	srv := NewBackend(idx, Options{})
 	go srv.Serve(l)
 	defer func() { srv.Close(); l.Close() }()
 	conn, err := net.Dial("tcp", l.Addr().String())
@@ -407,7 +440,7 @@ func TestAsyncIngestFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewWithOptions(idx, Options{AsyncIngest: true})
+	srv := NewBackend(idx, Options{AsyncIngest: true})
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
 	t.Cleanup(func() {

@@ -1,7 +1,9 @@
 package simdisk
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -23,13 +25,12 @@ func (b *fileBackend) readAt(off int64, p []byte) error {
 	if n == len(p) {
 		return nil
 	}
-	if err != nil && n < len(p) {
-		// Reads past the file end return zero bytes, matching the RAM
-		// backend's behaviour for never-written regions.
-		for i := n; i < len(p); i++ {
-			p[i] = 0
-		}
+	if !errors.Is(err, io.EOF) {
+		return fmt.Errorf("simdisk: read backing file: %w", err)
 	}
+	// Reads past the written end return zero bytes, matching the RAM
+	// backend's behaviour for never-written regions.
+	clear(p[n:])
 	return nil
 }
 

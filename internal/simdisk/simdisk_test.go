@@ -3,6 +3,7 @@ package simdisk
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -359,6 +360,29 @@ func TestFileStoreRoundTrip(t *testing.T) {
 		if b != 0 {
 			t.Fatalf("unwritten file region = %v, want zeros", tail)
 		}
+	}
+}
+
+// TestFileBackendReadErrorsPropagate: only a read past the written end
+// zero-fills; an I/O failure (here, the backing file closed under the
+// store) must surface instead of being served as a bucket of zeros.
+func TestFileBackendReadErrorsPropagate(t *testing.T) {
+	f, err := os.Create(filepath.Join(t.TempDir(), "store.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &fileBackend{f: f}
+	if err := b.writeAt(0, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	got := []byte("xxxxxxxxxxxx")
+	if err := b.readAt(4, got); err != nil || !bytes.Equal(got, []byte("oad\x00\x00\x00\x00\x00\x00\x00\x00\x00")) {
+		t.Fatalf("read across the written end = %q, %v; want the tail zero-filled", got, err)
+	}
+	f.Close()
+	got = []byte("xxxx")
+	if err := b.readAt(0, got); err == nil {
+		t.Fatalf("read after the backing file closed = %q, nil; want an error", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package wave
 import (
 	"context"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 )
@@ -103,6 +104,86 @@ func TestTopKeysAndDistinct(t *testing.T) {
 	}
 	if n != 2 {
 		t.Errorf("DistinctKeys = %d, want 2", n)
+	}
+}
+
+// fakeKernel is a Querier over a posting slice sorted by (key, day,
+// record): the seven kernel methods and nothing else, so whatever Over
+// derives from it provably needs no more.
+type fakeKernel struct {
+	ps       []Posting
+	from, to int
+}
+
+func (f fakeKernel) ScanRange(_ context.Context, from, to int, fn func(string, Entry) bool) error {
+	for _, p := range f.ps {
+		if d := int(p.Entry.Day); d >= from && d <= to && !fn(p.Key, p.Entry) {
+			break
+		}
+	}
+	return nil
+}
+
+func (f fakeKernel) ProbeRange(ctx context.Context, key string, from, to int) (es []Entry, _ error) {
+	return es, f.ScanRange(ctx, from, to, func(k string, e Entry) bool {
+		if k == key {
+			es = append(es, e)
+		}
+		return true
+	})
+}
+
+func (f fakeKernel) MultiProbeRange(ctx context.Context, keys []string, from, to int) (map[string][]Entry, error) {
+	out := map[string][]Entry{}
+	for _, k := range keys {
+		if es, _ := f.ProbeRange(ctx, k, from, to); len(es) > 0 {
+			out[k] = es
+		}
+	}
+	return out, nil
+}
+
+func (f fakeKernel) Aggregate(ctx context.Context, _ AggKind, from, to int) (Agg, error) {
+	a := Agg{Days: map[int]int{}, Keys: []map[string]int{{}}}
+	return a, f.ScanRange(ctx, from, to, func(k string, e Entry) bool {
+		a.N++
+		a.Days[int(e.Day)]++
+		a.Keys[0][k]++
+		return true
+	})
+}
+
+func (f fakeKernel) Ready() bool        { return true }
+func (f fakeKernel) Window() (int, int) { return f.from, f.to }
+func (f fakeKernel) Stats() Stats       { return Stats{} }
+
+// TestDerivedQueriesNeedOnlyTheKernel runs every derived query over the
+// fake kernel and over a real index holding the same postings: the two
+// must render identically, and neither can reach past the Querier
+// interface.
+func TestDerivedQueriesNeedOnlyTheKernel(t *testing.T) {
+	x := buildAggIndex(t)
+	from, to := x.Window()
+	fake := fakeKernel{from: from, to: to}
+	if err := x.Scan(context.Background(), func(k string, e Entry) bool {
+		fake.ps = append(fake.ps, Posting{Key: k, Entry: e})
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sort.SliceStable(fake.ps, func(i, j int) bool {
+		a, b := fake.ps[i], fake.ps[j]
+		if a.Key != b.Key {
+			return a.Key < b.Key
+		}
+		if a.Entry.Day != b.Entry.Day {
+			return a.Entry.Day < b.Entry.Day
+		}
+		return a.Entry.RecordID < b.Entry.RecordID
+	})
+	keys := []string{"hot", "cold", "missing"}
+	if got, want := querierSignature(t, fake, from, to, keys), querierSignature(t, x, from, to, keys); got != want {
+		t.Fatalf("derived queries over the fake kernel diverge from the index:\n--- index\n%s\n--- fake\n%s", want, got)
 	}
 }
 

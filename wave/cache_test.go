@@ -11,13 +11,49 @@ import (
 	"waveindex/internal/core"
 )
 
-// querierSignature flattens every Querier read API over several ranges
-// into one canonical string — the equivalence currency of the cache
-// tests. Any divergence between a cached and an uncached index, down to
-// entry order inside a bucket, changes the signature.
-func querierSignature(t *testing.T, q Querier, from, to int, keys []string) string {
+// scanAggregates is the scan-derived reference the aggregate fold is held
+// to: the count, per-day histogram, k most frequent keys, and distinct-key
+// count of [from, to], computed from the kernel's ScanRange alone.
+func scanAggregates(t *testing.T, k Querier, topK, from, to int) (n int, hist []int, top []KeyCount, distinct int) {
+	t.Helper()
+	hist = make([]int, to-from+1)
+	perKey := map[string]int{}
+	if err := k.ScanRange(context.Background(), from, to, func(key string, e Entry) bool {
+		n++
+		hist[int(e.Day)-from]++
+		perKey[key]++
+		return true
+	}); err != nil {
+		t.Fatalf("reference ScanRange: %v", err)
+	}
+	for key, c := range perKey {
+		top = append(top, KeyCount{key, c})
+	}
+	sort.Slice(top, func(i, j int) bool {
+		if top[i].Count != top[j].Count {
+			return top[i].Count > top[j].Count
+		}
+		return top[i].Key < top[j].Key
+	})
+	if len(top) > topK {
+		top = top[:topK]
+	}
+	return n, hist, top, len(perKey)
+}
+
+// querierSignature flattens every read API — the kernel k's own methods
+// and every query derived from it — over several ranges into one
+// canonical string, the equivalence currency of the cache tests. Any
+// divergence between a cached and an uncached index, down to entry order
+// inside a bucket, changes the signature. On the way it holds the
+// fold-derived aggregates to the scan-derived reference.
+func querierSignature(t *testing.T, k Querier, from, to int, keys []string) string {
 	t.Helper()
 	ctx := context.Background()
+	q := struct {
+		Querier
+		Queries
+	}{k, Over(k)}
 	var b strings.Builder
 	must := func(err error, what string) {
 		t.Helper()
@@ -92,6 +128,13 @@ func querierSignature(t *testing.T, q Querier, from, to int, keys []string) stri
 	dk, err := q.DistinctKeys(ctx, from, to)
 	must(err, "DistinctKeys")
 	fmt.Fprintf(&b, "distinct %d\n", dk)
+
+	cr, err := q.CountRange(ctx, from, to)
+	must(err, "CountRange")
+	refN, refHist, refTop, refDistinct := scanAggregates(t, k, 5, from, to)
+	if got, want := fmt.Sprint(cr, h, tk, dk), fmt.Sprint(refN, refHist, refTop, refDistinct); got != want {
+		t.Fatalf("fold-derived aggregates over [%d, %d] diverge from the scan-derived reference:\n got %s\nwant %s", from, to, got, want)
+	}
 	return b.String()
 }
 

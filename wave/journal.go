@@ -154,6 +154,8 @@ type RecoveryReport struct {
 // Mutating methods serialise among themselves; queries run concurrently
 // against the wrapped index.
 type Journaled struct {
+	Queries // every derived query, over the journal's current index
+
 	mu  sync.Mutex
 	idx *Index
 	st  *JournalStorage
@@ -200,6 +202,7 @@ func OpenJournaled(cfg Config, st *JournalStorage, opts JournalOptions) (*Journa
 		every = 8
 	}
 	j := &Journaled{st: st, jr: core.NewJournal(st.Log()), cfg: cfg, every: every}
+	j.Queries = Over(j)
 	// The async pipeline funnels through j.AddDay, so every queued day
 	// still gets the full intent → apply → commit journal protocol; the
 	// index is re-fetched per day because Recover swaps it.
@@ -228,6 +231,11 @@ func OpenJournaled(cfg Config, st *JournalStorage, opts JournalOptions) (*Journa
 	}
 	return j, nil
 }
+
+// Journaled reports true: the index can Recover. It lets layers that
+// drive several backend shapes ask a shard.Router — journaled or not —
+// and a journaled index the same question.
+func (j *Journaled) Journaled() bool { return true }
 
 // Index returns the wrapped queryable index. Recover swaps it, so
 // callers should re-fetch rather than cache it across recoveries. The

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -221,25 +220,6 @@ func TestErrBadConfigSentinel(t *testing.T) {
 	} else {
 		x, _ := New(Config{Window: 5, Indexes: 2})
 		x.Close()
-	}
-}
-
-// TestProbeParallelAlias checks the deprecated alias returns exactly
-// Probe's results.
-func TestProbeParallelAlias(t *testing.T) {
-	x, _ := buildObserved(t, Config{Window: 6, Indexes: 3})
-	for _, key := range []string{"a", "b", "only8", "missing"} {
-		want, err := x.Probe(context.Background(), key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := x.Probe(context.Background(), key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("key %q: ProbeParallel %v, Probe %v", key, got, want)
-		}
 	}
 }
 

@@ -203,7 +203,8 @@ func loadWithExtras(r io.Reader, tr Tracer, crash *core.CrashSet, extra core.Obs
 		Observer:  obsCore,
 		Crash:     cfg.crash,
 	}
-	x := &Index{cfg: cfg, stores: []*simdisk.Store{store}, bcaches: bcaches, rcOn: cfg.CacheResults > 0, src: src, obs: ob, nextDay: nextDay, ready: ready}
+	x := &Index{cfg: cfg, stores: []*simdisk.Store{store}, bcaches: bcaches, src: src, obs: ob, nextDay: nextDay, ready: ready}
+	x.Queries = Over(x)
 	x.ing = newIngester(x.AddDay, x.pendingNextDay)
 	if ready {
 		scheme, err := core.LoadScheme(ccfg, bk, bytes.NewReader(schBlob))

@@ -227,7 +227,7 @@ var errSkipped = errors.New("shard: skipped by open breaker")
 // the call is skipped: partial-results callers get errSkipped (and the
 // slice recorded in their report), everyone else gets
 // wave.ErrUnavailable.
-func (r *Router) shardCall(ctx context.Context, i int, f func(s backend) error) error {
+func (r *Router) shardCall(ctx context.Context, i int, f func(s wave.Backend) error) error {
 	if r.brk == nil {
 		return f(r.shards[i])
 	}
@@ -247,9 +247,9 @@ func (r *Router) shardCall(ctx context.Context, i int, f func(s backend) error) 
 
 // fanQuery is fan with the breaker protocol applied per shard: skipped
 // shards contribute nothing instead of failing the query.
-func (r *Router) fanQuery(ctx context.Context, f func(i int, s backend) error) error {
-	return r.fan(func(i int, s backend) error {
-		err := r.shardCall(ctx, i, func(s backend) error { return f(i, s) })
+func (r *Router) fanQuery(ctx context.Context, f func(i int, s wave.Backend) error) error {
+	return r.fan(func(i int, s wave.Backend) error {
+		err := r.shardCall(ctx, i, func(s wave.Backend) error { return f(i, s) })
 		if errors.Is(err, errSkipped) {
 			return nil
 		}

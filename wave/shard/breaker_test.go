@@ -225,7 +225,7 @@ func TestBreakerOpensAndAnnotatesPartialResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	const broken = 1
-	brokenCount, err := r.shards[broken].Count(ctx)
+	brokenCount, err := wave.Over(r.shards[broken]).Count(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,6 +262,32 @@ func TestBreakerOpensAndAnnotatesPartialResults(t *testing.T) {
 	deg := rep.Degraded()
 	if len(deg) != 1 || deg[0].Shard != broken || deg[0].Shards != 3 || deg[0].Cause == "" {
 		t.Fatalf("Degraded = %v, want one annotated slice for shard %d", deg, broken)
+	}
+
+	// The fold itself degrades the same way: Aggregate drops the broken
+	// shard's partial and annotates exactly the slice TopKeys does.
+	rep.Reset()
+	agg, err := r.Aggregate(pctx, wave.AggKeys, from, to)
+	if err != nil {
+		t.Fatalf("partial Aggregate: %v", err)
+	}
+	if agg.N != wantCount-brokenCount {
+		t.Fatalf("partial Aggregate counted %d, want %d", agg.N, wantCount-brokenCount)
+	}
+	for _, part := range agg.Keys {
+		for k := range part {
+			if r.ShardFor(k) == broken {
+				t.Fatalf("partial Aggregate carries key %q from the broken shard", k)
+			}
+		}
+	}
+	aggDeg := rep.Degraded()
+	rep.Reset()
+	if _, err := r.TopKeys(pctx, 3, from, to); err != nil {
+		t.Fatalf("partial TopKeys: %v", err)
+	}
+	if topDeg := rep.Degraded(); len(aggDeg) != 1 || aggDeg[0] != deg[0] || len(topDeg) != 1 || topDeg[0] != aggDeg[0] {
+		t.Fatalf("Aggregate annotated %v, TopKeys %v, CountRange %v; want the same single slice", aggDeg, topDeg, deg)
 	}
 
 	// Scan under partial results visits only healthy shards' keys.

@@ -5,30 +5,23 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"waveindex/wave"
 )
 
-// This file is the Router's wave.Querier implementation. Single-key
-// queries route to the owning shard; batched and whole-window queries
-// scatter to all owning shards concurrently and gather exact results,
-// relying on the partitioning invariant that shard key sets are
-// disjoint.
+// This file is the Router's wave.Querier kernel; every derived query
+// (Probe, Count, TopKeys, ...) comes from the embedded wave.Queries.
+// Single-key queries route to the owning shard; batched and
+// whole-window queries scatter to all owning shards concurrently and
+// gather exact results, relying on the partitioning invariant that
+// shard key sets are disjoint.
 //
 // Every shard touch goes through shardCall/fanQuery (breaker.go), so a
 // shard behind an open circuit breaker is skipped rather than queried:
 // partial-results callers get the healthy remainder with the skipped
 // slice recorded in their wave.PartialReport, everyone else gets
 // wave.ErrUnavailable.
-
-// Probe returns the entries for key within the current window, answered
-// entirely by the owning shard.
-func (r *Router) Probe(ctx context.Context, key string) ([]wave.Entry, error) {
-	from, to := r.Window()
-	return r.ProbeRange(ctx, key, from, to)
-}
 
 // ProbeRange returns the entries for key inserted in [from, to]. With
 // the owning shard's breaker open, a partial-results caller gets an
@@ -37,7 +30,7 @@ func (r *Router) Probe(ctx context.Context, key string) ([]wave.Entry, error) {
 func (r *Router) ProbeRange(ctx context.Context, key string, from, to int) ([]wave.Entry, error) {
 	i := r.ShardFor(key)
 	var es []wave.Entry
-	err := r.shardCall(ctx, i, func(s backend) error {
+	err := r.shardCall(ctx, i, func(s wave.Backend) error {
 		var err error
 		es, err = s.ProbeRange(ctx, key, from, to)
 		return err
@@ -51,31 +44,6 @@ func (r *Router) ProbeRange(ctx context.Context, key string, from, to int) ([]wa
 	return es, nil
 }
 
-// SumAux sums the Aux field of key's entries in [from, to], answered by
-// the owning shard.
-func (r *Router) SumAux(ctx context.Context, key string, from, to int) (int64, error) {
-	i := r.ShardFor(key)
-	var sum int64
-	err := r.shardCall(ctx, i, func(s backend) error {
-		var err error
-		sum, err = s.SumAux(ctx, key, from, to)
-		return err
-	})
-	if errors.Is(err, errSkipped) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("shard %d: %w", i, err)
-	}
-	return sum, nil
-}
-
-// MultiProbe probes a batch of keys within the current window.
-func (r *Router) MultiProbe(ctx context.Context, keys []string) (map[string][]wave.Entry, error) {
-	from, to := r.Window()
-	return r.MultiProbeRange(ctx, keys, from, to)
-}
-
 // MultiProbeRange partitions the batch by key owner, fans the parts out
 // to their shards concurrently, and merges the disjoint result maps.
 func (r *Router) MultiProbeRange(ctx context.Context, keys []string, from, to int) (map[string][]wave.Entry, error) {
@@ -85,7 +53,7 @@ func (r *Router) MultiProbeRange(ctx context.Context, keys []string, from, to in
 		parts[i] = append(parts[i], k)
 	}
 	results := make([]map[string][]wave.Entry, len(r.shards))
-	err := r.fan(func(i int, s backend) error {
+	err := r.fan(func(i int, s wave.Backend) error {
 		// A shard owning none of the keys is skipped before the breaker
 		// protocol: it must neither fail the batch when its breaker is
 		// open (the query never needed it) nor feed a no-op success
@@ -93,7 +61,7 @@ func (r *Router) MultiProbeRange(ctx context.Context, keys []string, from, to in
 		if len(parts[i]) == 0 {
 			return nil
 		}
-		err := r.shardCall(ctx, i, func(s backend) error {
+		err := r.shardCall(ctx, i, func(s wave.Backend) error {
 			m, err := s.MultiProbeRange(ctx, parts[i], from, to)
 			results[i] = m
 			return err
@@ -149,12 +117,6 @@ func (h *streamHeap) Pop() interface{} {
 	return v
 }
 
-// Scan visits every entry in the current window in ascending key order.
-func (r *Router) Scan(ctx context.Context, fn func(key string, e wave.Entry) bool) error {
-	from, to := r.Window()
-	return r.ScanRange(ctx, from, to, fn)
-}
-
 // ScanRange runs every shard's scan concurrently and k-way merges the
 // key-ascending streams. Shard key sets are disjoint, so the merged
 // visit order — keys ascending, each key's entries in (day, record)
@@ -170,11 +132,11 @@ func (r *Router) ScanRange(ctx context.Context, from, to int, fn func(key string
 		st := &scanStream{shard: i, ch: make(chan keyGroup, 16), errc: make(chan error, 1)}
 		streams[i] = st
 		wg.Add(1)
-		go func(i int, s backend, st *scanStream) {
+		go func(i int, s wave.Backend, st *scanStream) {
 			defer wg.Done()
 			var cur keyGroup
 			started := false
-			err := r.shardCall(cctx, i, func(s backend) error {
+			err := r.shardCall(cctx, i, func(s wave.Backend) error {
 				return s.ScanRange(cctx, from, to, func(key string, e wave.Entry) bool {
 					if !started || key != cur.key {
 						if started {
@@ -258,135 +220,25 @@ func (r *Router) ScanRange(ctx context.Context, from, to int, fn func(key string
 	return nil
 }
 
-// Count returns the number of entries in the window.
-func (r *Router) Count(ctx context.Context) (int, error) {
-	from, to := r.Window()
-	return r.CountRange(ctx, from, to)
-}
-
-// CountRange counts entries inserted in [from, to], summing the shards'
-// disjoint counts.
-func (r *Router) CountRange(ctx context.Context, from, to int) (int, error) {
-	counts := make([]int, len(r.shards))
-	err := r.fanQuery(ctx, func(i int, s backend) error {
-		n, err := s.CountRange(ctx, from, to)
-		counts[i] = n
+// Aggregate fans the fold out to every shard and merges the partials.
+// Shard key sets are disjoint, so counts and per-day groups sum and the
+// shards' per-key parts are concatenated, never unioned: the merge costs
+// O(shards) whatever the number of distinct keys, and every derived
+// aggregate (exact per key, since each shard's counts are global for
+// the keys it owns) reads the merged partial.
+func (r *Router) Aggregate(ctx context.Context, kind wave.AggKind, from, to int) (wave.Agg, error) {
+	per := make([]wave.Agg, len(r.shards))
+	err := r.fanQuery(ctx, func(i int, s wave.Backend) error {
+		var err error
+		per[i], err = s.Aggregate(ctx, kind, from, to)
 		return err
 	})
 	if err != nil {
-		return 0, err
+		return wave.Agg{}, err
 	}
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	return total, nil
-}
-
-// TopKeys returns the k most frequent keys in [from, to]. Each shard's
-// counts are global for the keys it owns, and any key in the fleet's
-// top k is necessarily in its own shard's top k, so merging the shards'
-// top-k lists is exact.
-func (r *Router) TopKeys(ctx context.Context, k, from, to int) ([]wave.KeyCount, error) {
-	if k < 1 {
-		return nil, nil
-	}
-	per := make([][]wave.KeyCount, len(r.shards))
-	err := r.fanQuery(ctx, func(i int, s backend) error {
-		top, err := s.TopKeys(ctx, k, from, to)
-		per[i] = top
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	var all []wave.KeyCount
-	for _, top := range per {
-		all = append(all, top...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
-		}
-		return all[i].Key < all[j].Key
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all, nil
-}
-
-// CountKeys returns each key's entry count over [from, to], batching
-// per shard. Keys without entries map to 0.
-func (r *Router) CountKeys(ctx context.Context, keys []string, from, to int) (map[string]int, error) {
-	res, err := r.MultiProbeRange(ctx, keys, from, to)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]int, len(keys))
-	for _, k := range keys {
-		out[k] = len(res[k])
+	var out wave.Agg
+	for _, p := range per {
+		out.Merge(p)
 	}
 	return out, nil
-}
-
-// SumAuxKeys sums the Aux field per key over [from, to], batching per
-// shard.
-func (r *Router) SumAuxKeys(ctx context.Context, keys []string, from, to int) (map[string]int64, error) {
-	res, err := r.MultiProbeRange(ctx, keys, from, to)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]int64, len(keys))
-	for _, k := range keys {
-		var sum int64
-		for _, e := range res[k] {
-			sum += int64(e.Aux)
-		}
-		out[k] = sum
-	}
-	return out, nil
-}
-
-// Histogram returns per-day entry counts over [from, to], summing the
-// shards' disjoint histograms element-wise.
-func (r *Router) Histogram(ctx context.Context, from, to int) ([]int, error) {
-	if to < from {
-		return nil, nil
-	}
-	per := make([][]int, len(r.shards))
-	err := r.fanQuery(ctx, func(i int, s backend) error {
-		h, err := s.Histogram(ctx, from, to)
-		per[i] = h
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, to-from+1)
-	for _, h := range per {
-		for i, n := range h {
-			out[i] += n
-		}
-	}
-	return out, nil
-}
-
-// DistinctKeys counts the distinct keys in [from, to]; shard key sets
-// are disjoint, so the fleet count is the sum.
-func (r *Router) DistinctKeys(ctx context.Context, from, to int) (int, error) {
-	counts := make([]int, len(r.shards))
-	err := r.fanQuery(ctx, func(i int, s backend) error {
-		n, err := s.DistinctKeys(ctx, from, to)
-		counts[i] = n
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	return total, nil
 }

@@ -1,8 +1,9 @@
 // Package shard scales a wave index out horizontally: a Router
 // hash-partitions the key space across N independent wave.Index (or
 // wave.Journaled) shards and exposes the exact same query surface as a
-// single index — it implements wave.Querier, so callers cannot tell a
-// sharded deployment from an unsharded one by results alone.
+// single index — it implements the wave.Querier kernel and embeds the
+// same derived queries, so callers cannot tell a sharded deployment
+// from an unsharded one by results alone.
 //
 // # Partitioning contract
 //
@@ -13,14 +14,17 @@
 // deployment redistributes keys and invalidates durable state. Because
 // key sets are disjoint across shards:
 //
-//   - Probe, ProbeRange, and SumAux touch only the owning shard;
-//   - MultiProbe fans the batch out to the owning shards concurrently
-//     and merges the disjoint result maps;
-//   - Scan runs all shards concurrently and k-way merges their
+//   - ProbeRange (and Probe, SumAux over it) touches only the owning
+//     shard;
+//   - MultiProbeRange fans the batch out to the owning shards
+//     concurrently and merges the disjoint result maps;
+//   - ScanRange runs all shards concurrently and k-way merges their
 //     key-ascending streams, yielding the exact entry order a single
 //     index would — sharded render output is byte-identical;
-//   - per-key aggregates (TopKeys, CountKeys, SumAuxKeys) are exact,
-//     since each shard's counts are global for the keys it owns.
+//   - Aggregate sums the shards' counts and concatenates their per-key
+//     partials, so every aggregate derived from it (TopKeys,
+//     DistinctKeys, Histogram, ...) is exact: each shard's counts are
+//     global for the keys it owns.
 //
 // # Maintenance
 //
@@ -82,39 +86,18 @@ type Config struct {
 	OnBreakerChange func(shard int, from, to BreakerState)
 }
 
-// backend is the per-shard surface the router drives — satisfied by
-// both *wave.Index and *wave.Journaled.
-type backend interface {
-	wave.Querier
-	AddDay(day int, postings []wave.Posting) error
-	AddDayAsync(day int, postings []wave.Posting) error
-	Flush() error
-	IngestQueueDepth() int
-	NeedsRecovery() bool
-	Degraded() bool
-	HardWindow() bool
-	Metrics() wave.MetricsSnapshot
-	SlowQueries() []wave.SlowQuery
-	SetSlowQueryThreshold(time.Duration)
-	Work() []wave.CauseStats
-	CacheInfo() wave.CacheInfo
-	Close() error
-}
-
-var (
-	_ backend = (*wave.Index)(nil)
-	_ backend = (*wave.Journaled)(nil)
-)
-
 // Router hash-partitions a wave index across N shards. It implements
-// wave.Querier plus the ingestion, health, and observability surface of
-// a single index, so servers can treat it interchangeably with one.
+// wave.Backend — the query kernel plus the ingestion, health, and
+// observability surface of a single index — so servers can treat it
+// interchangeably with one.
 // All methods are safe for concurrent use; mutating methods serialise
 // among themselves.
 type Router struct {
+	wave.Queries // every derived query, over the router's own kernel
+
 	cfg    Config
 	hash   func(string) uint64
-	shards []backend
+	shards []wave.Backend
 	jr     []*wave.Journaled // non-nil (per entry) when journaled
 	brk    []*breaker        // non-nil when Config.Breaker is enabled
 
@@ -122,7 +105,7 @@ type Router struct {
 	closed bool
 }
 
-var _ wave.Querier = (*Router)(nil)
+var _ wave.Backend = (*Router)(nil)
 
 // fnv1a is the default shard hash: 64-bit FNV-1a over the key's bytes.
 func fnv1a(key string) uint64 {
@@ -175,6 +158,7 @@ func New(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	r := &Router{cfg: cfg, hash: cfg.Hash}
+	r.Queries = wave.Over(r)
 	for i := 0; i < cfg.Shards; i++ {
 		x, err := wave.New(cfg.shardBase(i))
 		if err != nil {
@@ -200,6 +184,7 @@ func NewJournaled(cfg Config, storages []*wave.JournalStorage, opts wave.Journal
 		return nil, fmt.Errorf("%w: %d journal storages for %d shards", wave.ErrBadConfig, len(storages), cfg.Shards)
 	}
 	r := &Router{cfg: cfg, hash: cfg.Hash, jr: make([]*wave.Journaled, cfg.Shards)}
+	r.Queries = wave.Over(r)
 	for i := 0; i < cfg.Shards; i++ {
 		j, err := wave.OpenJournaled(cfg.shardBase(i), storages[i], opts)
 		if err != nil {
@@ -291,12 +276,12 @@ func (r *Router) partition(postings []wave.Posting) [][]wave.Posting {
 
 // fan runs f for every shard concurrently and joins the failures, each
 // labelled with its shard number.
-func (r *Router) fan(f func(i int, s backend) error) error {
+func (r *Router) fan(f func(i int, s wave.Backend) error) error {
 	errs := make([]error, len(r.shards))
 	var wg sync.WaitGroup
 	for i, s := range r.shards {
 		wg.Add(1)
-		go func(i int, s backend) {
+		go func(i int, s wave.Backend) {
 			defer wg.Done()
 			if err := f(i, s); err != nil {
 				errs[i] = fmt.Errorf("shard %d: %w", i, err)
@@ -353,7 +338,7 @@ func (r *Router) AddDay(day int, postings []wave.Posting) error {
 		return fmt.Errorf("%w: got day %d, want %d", wave.ErrBadDay, day, want)
 	}
 	parts := r.partition(postings)
-	return r.fan(func(i int, s backend) error {
+	return r.fan(func(i int, s wave.Backend) error {
 		if next[i] > day {
 			return nil // already applied; idempotent retry
 		}
@@ -384,7 +369,7 @@ func (r *Router) AddDayAsync(day int, postings []wave.Posting) error {
 // Flush drains every shard's ingestion pipeline and joins the first
 // failure of each — sticky, like Index.Flush.
 func (r *Router) Flush() error {
-	return r.fan(func(i int, s backend) error { return s.Flush() })
+	return r.fan(func(i int, s wave.Backend) error { return s.Flush() })
 }
 
 // IngestQueueDepth returns the deepest shard pipeline's queue depth.
@@ -475,7 +460,7 @@ func (r *Router) Recover() (*wave.RecoveryReport, error) {
 		}
 	}
 	reports := make([]*wave.RecoveryReport, len(r.shards))
-	err := r.fan(func(i int, s backend) error {
+	err := r.fan(func(i int, s wave.Backend) error {
 		if any && !targets[i] {
 			return nil
 		}
@@ -703,5 +688,5 @@ func (r *Router) Close() error {
 		return wave.ErrClosed
 	}
 	r.closed = true
-	return r.fan(func(i int, s backend) error { return s.Close() })
+	return r.fan(func(i int, s wave.Backend) error { return s.Close() })
 }

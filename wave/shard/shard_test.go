@@ -44,12 +44,49 @@ func probeKeys(from, to int) []string {
 	return keys
 }
 
-// render exercises every query kind and serialises the results into one
+// scanAggregates is the scan-derived reference the aggregate fold is held
+// to: the count, per-day histogram, k most frequent keys, and distinct-key
+// count of [from, to], computed from the kernel's ScanRange alone.
+func scanAggregates(t *testing.T, k wave.Querier, topK, from, to int) (n int, hist []int, top []wave.KeyCount, distinct int) {
+	t.Helper()
+	hist = make([]int, to-from+1)
+	perKey := map[string]int{}
+	if err := k.ScanRange(context.Background(), from, to, func(key string, e wave.Entry) bool {
+		n++
+		hist[int(e.Day)-from]++
+		perKey[key]++
+		return true
+	}); err != nil {
+		t.Fatalf("reference ScanRange: %v", err)
+	}
+	for key, c := range perKey {
+		top = append(top, wave.KeyCount{Key: key, Count: c})
+	}
+	sort.Slice(top, func(i, j int) bool {
+		if top[i].Count != top[j].Count {
+			return top[i].Count > top[j].Count
+		}
+		return top[i].Key < top[j].Key
+	})
+	if len(top) > topK {
+		top = top[:topK]
+	}
+	return n, hist, top, len(perKey)
+}
+
+// render exercises every query kind — the kernel k's own methods and
+// every query derived from it — and serialises the results into one
 // deterministic string. Two Queriers over the same data must render
-// byte-identically — the equivalence contract of the shard router.
-func render(t *testing.T, q wave.Querier) string {
+// byte-identically — the equivalence contract of the shard router. On
+// the way it holds the fold-derived aggregates to the scan-derived
+// reference.
+func render(t *testing.T, k wave.Querier) string {
 	t.Helper()
 	ctx := context.Background()
+	q := struct {
+		wave.Querier
+		wave.Queries
+	}{k, wave.Over(k)}
 	var b strings.Builder
 	from, to := q.Window()
 	fmt.Fprintf(&b, "window %d..%d ready=%v\n", from, to, q.Ready())
@@ -150,15 +187,25 @@ func render(t *testing.T, q wave.Querier) string {
 		t.Fatalf("DistinctKeys: %v", err)
 	}
 	fmt.Fprintf(&b, "distinct %d\n", dk)
+
+	n, err = q.CountRange(ctx, from, to)
+	if err != nil {
+		t.Fatalf("CountRange: %v", err)
+	}
+	refN, refHist, refTop, refDistinct := scanAggregates(t, k, 5, from, to)
+	if got, want := fmt.Sprint(n, hist, top, dk), fmt.Sprint(refN, refHist, refTop, refDistinct); got != want {
+		t.Fatalf("fold-derived aggregates over [%d, %d] diverge from the scan-derived reference:\n got %s\nwant %s", from, to, got, want)
+	}
 	return b.String()
 }
 
 var allTechniques = []wave.UpdateTechnique{wave.InPlace, wave.SimpleShadow, wave.PackedShadow}
 
 // TestShardedEquivalence is the acceptance suite: for every maintenance
-// scheme × update technique × shard count, a router must render every
-// query kind byte-identically to a single unsharded index fed the same
-// days — both mid-window and after the window has rolled several times.
+// scheme × update technique × shard count, a router — with the result
+// cache off and on — must render every query kind byte-identically to a
+// single unsharded index fed the same days, both mid-window and after
+// the window has rolled several times.
 func TestShardedEquivalence(t *testing.T) {
 	const W, N, days = 6, 3, 12
 	for _, kind := range core.Kinds {
@@ -178,6 +225,12 @@ func TestShardedEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer r.Close()
+					cfg.CacheResults = 1 << 16
+					cached, err := New(Config{Shards: shards, Base: cfg})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer cached.Close()
 					for d := 1; d <= days; d++ {
 						ps := workload(d)
 						if err := single.AddDay(d, ps); err != nil {
@@ -186,10 +239,20 @@ func TestShardedEquivalence(t *testing.T) {
 						if err := r.AddDay(d, ps); err != nil {
 							t.Fatalf("sharded AddDay(%d): %v", d, err)
 						}
+						if err := cached.AddDay(d, ps); err != nil {
+							t.Fatalf("cached sharded AddDay(%d): %v", d, err)
+						}
 						if d == W || d == days {
-							want, got := render(t, single), render(t, r)
-							if want != got {
-								t.Fatalf("day %d: sharded render diverges from single index\nsingle:\n%s\nsharded:\n%s", d, want, got)
+							want := render(t, single)
+							// The cached router renders twice: cold, then warm
+							// from the memoized partials.
+							for _, c := range []struct {
+								name string
+								q    wave.Querier
+							}{{"sharded", r}, {"cached sharded, cold", cached}, {"cached sharded, warm", cached}} {
+								if got := render(t, c.q); want != got {
+									t.Fatalf("day %d: %s render diverges from single index\nsingle:\n%s\n%s:\n%s", d, c.name, want, c.name, got)
+								}
 							}
 						}
 					}
@@ -225,7 +288,7 @@ func TestShardedScanEarlyStop(t *testing.T) {
 	prefix := func(q wave.Querier, stop int) string {
 		var b strings.Builder
 		seen := 0
-		if err := q.Scan(context.Background(), func(key string, e wave.Entry) bool {
+		if err := wave.Over(q).Scan(context.Background(), func(key string, e wave.Entry) bool {
 			fmt.Fprintf(&b, "%s %d\n", key, e.RecordID)
 			seen++
 			return seen < stop

@@ -20,9 +20,10 @@
 //	entries, _ := idx.Probe(context.Background(), "needle")
 //
 // Every query method takes a context first (cancellation stops the
-// engine between constituent reads); the full read surface is the
-// Querier interface, implemented identically by Index, Journaled, and
-// shard.Router.
+// engine between constituent reads). The read surface is the seven-method
+// Querier kernel, implemented by Index, Journaled, and shard.Router, plus
+// the queries Queries derives from it (Probe, Count, TopKeys, ...), which
+// all three embed.
 package wave
 
 import (
@@ -165,11 +166,12 @@ type Config struct {
 	// memory caching the paper credits for batched updates' efficiency.
 	CacheBlocks int
 	// CacheResults, when positive, installs a per-constituent result
-	// cache of that many result rows: probe buckets and aggregate
-	// results are memoized against the constituent generation they were
-	// computed from, so wave transitions invalidate only the rebuilt
-	// constituents' entries (see README's Caching chapter). 0 disables
-	// result caching — the reference behaviour benches compare against.
+	// cache of that many result rows: probe buckets and the aggregate
+	// fold's partials are memoized against the constituent generation
+	// they were computed from, so wave transitions invalidate only the
+	// rebuilt constituents' entries (see README's Caching chapter). It
+	// only sizes the memo: 0 runs the same probes and the same fold and
+	// keeps nothing — the reference behaviour benches compare against.
 	CacheResults int
 	// FirstDay is the day number of the first batch. 0 means 1.
 	FirstDay int
@@ -242,10 +244,11 @@ func (c Config) normalized() (Config, error) {
 // while AddDay runs (the §2.1 shadow-update story), and the mutating
 // methods (AddDay, SaveSnapshot, Close) serialise among themselves.
 type Index struct {
+	Queries // every derived query, over this index's own kernel
+
 	cfg     Config
 	stores  []*simdisk.Store
 	bcaches []*simdisk.Cache // block caches wrapping stores (empty when off)
-	rcOn    bool             // a result cache is installed on the wave
 	src     *core.MemorySource
 	scheme  core.Scheme
 	obs     *observability
@@ -370,7 +373,8 @@ func New(cfg Config) (*Index, error) {
 	qm := ob.queryMetrics()
 	scheme.Wave().SetInstrumentation(&qm, cfg.Trace)
 	ob.reg.Gauge("maint_parallelism").Set(int64(max(maintPar, 1)))
-	x := &Index{cfg: cfg, stores: stores, bcaches: bcaches, rcOn: cfg.CacheResults > 0, src: src, scheme: scheme, obs: ob, nextDay: cfg.FirstDay}
+	x := &Index{cfg: cfg, stores: stores, bcaches: bcaches, src: src, scheme: scheme, obs: ob, nextDay: cfg.FirstDay}
+	x.Queries = Over(x)
 	ob.setCaches(x.cacheInfo)
 	x.ing = newIngester(x.AddDay, x.pendingNextDay)
 	return x, nil
@@ -545,19 +549,13 @@ func (x *Index) Window() (from, to int) {
 // window (true) or may retain a few expired days (WATA*).
 func (x *Index) HardWindow() bool { return x.scheme.HardWindow() }
 
-// Probe returns the entries for key within the current required window,
-// ordered by (day, record). The query engine issues the per-constituent
-// reads concurrently when its pool allows it; with Parallelism 1 the
-// reads run sequentially on the caller's goroutine. Once ctx is done the
-// query stops issuing constituent reads and returns ctx's error.
-func (x *Index) Probe(ctx context.Context, key string) ([]Entry, error) {
-	from, to := x.Window()
-	return x.ProbeRange(ctx, key, from, to)
-}
-
 // ProbeRange returns the entries for key inserted between day from and to
-// (inclusive). This is the paper's TimedIndexProbe: only constituents
-// whose clusters intersect the range are read.
+// (inclusive), ordered by (day, record). This is the paper's
+// TimedIndexProbe: only constituents whose clusters intersect the range
+// are read. The query engine issues the per-constituent reads
+// concurrently when its pool allows it; with Parallelism 1 the reads run
+// sequentially on the caller's goroutine. Once ctx is done the query
+// stops issuing constituent reads and returns ctx's error.
 func (x *Index) ProbeRange(ctx context.Context, key string, from, to int) ([]Entry, error) {
 	if err := x.queryable(); err != nil {
 		return nil, err
@@ -583,17 +581,11 @@ func (x *Index) queryable() error {
 	return nil
 }
 
-// MultiProbe probes a batch of keys within the current window in one
+// MultiProbeRange probes a batch of keys over days [from, to] in one
 // pass: each qualifying constituent answers the whole (deduplicated)
 // batch with its buckets read in disk order, and constituents run
 // concurrently on the query engine. The result maps each key with
 // entries to its (day, record)-ordered entry list.
-func (x *Index) MultiProbe(ctx context.Context, keys []string) (map[string][]Entry, error) {
-	from, to := x.Window()
-	return x.MultiProbeRange(ctx, keys, from, to)
-}
-
-// MultiProbeRange is MultiProbe over days [from, to].
 func (x *Index) MultiProbeRange(ctx context.Context, keys []string, from, to int) (map[string][]Entry, error) {
 	if err := x.queryable(); err != nil {
 		return nil, err
@@ -617,16 +609,10 @@ func (x *Index) SetParallelism(p int) { x.scheme.Wave().SetParallelism(p) }
 // Parallelism returns the query engine's concurrency bound.
 func (x *Index) Parallelism() int { return x.scheme.Wave().Parallelism() }
 
-// Scan visits every entry in the current required window in ascending
-// key order; fn returning false stops the scan. This is the paper's
-// TimedSegmentScan clamped to the window. The merge stops between key
-// groups once ctx is done and the scan returns ctx's error.
-func (x *Index) Scan(ctx context.Context, fn func(key string, e Entry) bool) error {
-	from, to := x.Window()
-	return x.ScanRange(ctx, from, to, fn)
-}
-
-// ScanRange visits every entry inserted between day from and to.
+// ScanRange visits every entry inserted between day from and to in
+// ascending key order; fn returning false stops the scan. This is the
+// paper's TimedSegmentScan. The merge stops between key groups once ctx
+// is done and the scan returns ctx's error.
 func (x *Index) ScanRange(ctx context.Context, from, to int, fn func(key string, e Entry) bool) error {
 	if err := x.queryable(); err != nil {
 		return err
@@ -642,6 +628,28 @@ func (x *Index) ScanRange(ctx context.Context, from, to int, fn func(key string,
 	})
 	x.obs.end("scan", "", core.TraceIDFrom(ctx), 0, from, to, entries, start, before, err)
 	return err
+}
+
+// Aggregate folds the entries inserted between day from and to into one
+// partial aggregate — the paper's TimedSegmentScan use cases (count and
+// group-by aggregates, §2) without materialising the scan: each
+// qualifying constituent is scanned once into its own partial and the
+// partials are summed. Config.CacheResults memoizes the per-constituent
+// partials; the answer is the same either way.
+func (x *Index) Aggregate(ctx context.Context, kind AggKind, from, to int) (Agg, error) {
+	if err := x.queryable(); err != nil {
+		return Agg{}, err
+	}
+	start, before, track := x.obs.begin()
+	a, err := x.scheme.Wave().AggregateCtx(ctx, kind, from, to)
+	if track {
+		x.obs.end("scan", "", core.TraceIDFrom(ctx), 0, from, to, a.N, start, before, err)
+	}
+	out := Agg{N: a.N, Days: a.Days}
+	if a.Keys != nil {
+		out.Keys = []map[string]int{a.Keys}
+	}
+	return out, err
 }
 
 // Stats reports resource usage.
