@@ -18,7 +18,8 @@ GO ?= go
 # and shard count, and a mid-transition crash never leaves a stale
 # entry servable, under -race), and the perf smoke (the wall-clock
 # benchmark harness under perf/ still builds against the library and
-# runs one workload with no failed operation).
+# runs a daemon workload and the library workload with no failed
+# operation).
 .PHONY: check vet build test race bench-smoke metrics-smoke chaos-smoke \
 	shard-smoke netchaos-smoke cache-smoke bench-record bench-record-smoke \
 	bench-gate obs-smoke perf-smoke
@@ -40,7 +41,7 @@ race:
 	$(GO) test -race ./...
 
 bench-smoke:
-	$(GO) test -bench='ParallelProbe|ParallelScan|MultiProbe|ParallelBuild|AsyncTransition|Sharded' -benchtime=1x -run '^$$' .
+	$(GO) test -bench='ParallelProbe|ParallelScan|MultiProbe|ParallelBuild|AsyncTransition|Sharded|ReadPath' -benchtime=1x -run '^$$' .
 
 metrics-smoke:
 	$(GO) test -bench='MetricsOverhead' -benchtime=1x -run '^$$' .
@@ -81,14 +82,17 @@ obs-smoke:
 	./.obs-smoke/wavetop -addr 127.0.0.1:7461 -once | grep -q 'EVENTS'
 	rm -rf .obs-smoke
 
-# perf-smoke builds the BENCHMARK.json harness and runs one two-second
-# workload through a real waved child. perf/ calls the library and the
+# perf-smoke builds the BENCHMARK.json harness and runs two two-second
+# workloads: probe_cached through a real waved child, and embed_probe on
+# shard.Router with no daemon — the read path alone, its every reply
+# checked by the harness's oracle. perf/ calls the library and the
 # daemon as any embedder would, and a PR that is not a benchmark PR may
 # not edit it — so an API change that breaks the harness, or makes an
 # operation fail, has to fail here first. The harness's last line is its
 # JSON verdict.
 perf-smoke:
 	bash -o pipefail -c 'bash perf/run.sh --workload probe_cached --seed 1 --seconds 2 --trace 0 | tail -n 1 | grep "\"failed\":0"'
+	bash -o pipefail -c 'bash perf/run.sh --workload embed_probe --seed 1 --seconds 2 --trace 0 | tail -n 1 | grep "\"failed\":0"'
 
 # bench-record writes a full-length bench trajectory to bench/ for
 # regression tracking; compare two recordings with

@@ -896,3 +896,90 @@ func BenchmarkAblationBlockCache(b *testing.B) {
 		})
 	}
 }
+
+// --- Read path, layer by layer -----------------------------------------
+//
+// BenchmarkReadPath is the wall-clock counterpart of the sim_ms benches
+// above: ns/op, B/op and allocs/op of each query shape perf/ drives, at
+// shard.Router, on perf/'s fleet and data (2 shards, window 7, 4 indexes,
+// REINDEX, 20 000 words × 4 000 articles × 15 words a day, Zipf 1.2) so
+// a read-path change can be placed without the wire in the way.
+// entries/op is the number of postings a query returned or folded.
+func BenchmarkReadPath(b *testing.B) {
+	const (
+		window = 7
+		vocab  = 20000
+		heavy  = 32   // ranks [0, 32): buckets of thousands of entries
+		tailLo = 1000 // ranks [1000, vocab): a few entries each
+	)
+	r, err := shard.New(shard.Config{
+		Shards: 2,
+		Base:   wave.Config{Window: window, Indexes: 4, Scheme: wave.REINDEX, Update: wave.SimpleShadow},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	gen := workload.NewNewsGenerator(workload.NewsConfig{
+		Seed: 5, ArticlesPerDay: 4000, WordsPerArticle: 15, VocabSize: vocab, Skew: 1.2,
+	})
+	for d := 1; d <= window; d++ {
+		if err := r.AddDay(d, gen.Day(d).Postings); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	word := gen.Vocab().Word
+	tail := func(i int) string { return word(tailLo + i*7919%(vocab-tailLo)) }
+	probe := func(key string) (int, error) {
+		es, err := r.Probe(ctx, key)
+		return len(es), err
+	}
+	for _, q := range []struct {
+		name string
+		run  func(i int) (entries int, err error)
+	}{
+		{"tail", func(i int) (int, error) { return probe(tail(i)) }},
+		{"heavy", func(i int) (int, error) { return probe(word(i % heavy)) }},
+		{"mix17", func(i int) (int, error) {
+			// perf's embed_probe: 16 rare keys, then 1 frequent.
+			if i%17 == 16 {
+				return probe(word(i / 17 % heavy))
+			}
+			return probe(tail(i))
+		}},
+		{"mprobe64", func(i int) (int, error) {
+			keys := make([]string, 64)
+			for j := range keys {
+				keys[j] = word(heavy + (j*15+i*7)%(tailLo-heavy))
+			}
+			m, err := r.MultiProbe(ctx, keys)
+			n := 0
+			for _, es := range m {
+				n += len(es)
+			}
+			return n, err
+		}},
+		{"count2d", func(int) (int, error) { return r.CountRange(ctx, window-1, window) }},
+		{"topk10", func(int) (int, error) {
+			top, err := r.TopKeys(ctx, 10, 1, window)
+			if err == nil && len(top) != 10 {
+				err = fmt.Errorf("TopKeys returned %d keys", len(top))
+			}
+			return window * 4000 * 15, err
+		}},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			entries := 0
+			for i := 0; i < b.N; i++ {
+				n, err := q.run(i)
+				if err != nil {
+					b.Fatal(err)
+				}
+				entries += n
+			}
+			b.ReportMetric(float64(entries)/float64(b.N), "entries/op")
+		})
+	}
+}

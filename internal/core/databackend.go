@@ -136,6 +136,14 @@ func (c *dataConstituent) Drop() error {
 	return c.idx.Drop()
 }
 
+// Locate implements Searcher.
+func (c *dataConstituent) Locate(key string) (index.Bucket, error) {
+	return c.idx.Locate(key)
+}
+
+// NumKeys implements Searcher.
+func (c *dataConstituent) NumKeys() int { return c.idx.NumKeys() }
+
 // Probe implements Searcher.
 func (c *dataConstituent) Probe(key string, t1, t2 int) ([]index.Entry, error) {
 	return c.idx.Probe(key, t1, t2)

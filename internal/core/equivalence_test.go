@@ -286,3 +286,97 @@ func TestMemorySourceRetention(t *testing.T) {
 		t.Errorf("unlimited Len = %d, want 10", unlimited.Len())
 	}
 }
+
+// TestMergeEntryListsAgainstSort holds the order-aware merge to the
+// reference — sort the concatenation — over the shapes per-constituent
+// probe results take: disjoint day clusters in slot order, disjoint but
+// out of slot order, touching at equal entries, and genuinely
+// interleaving. Inputs may be shared result-cache entries, so with more
+// than one live list the result must not alias any of them and no input
+// may be written to.
+func TestMergeEntryListsAgainstSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	// sortedRun returns n sorted entries with days drawn from [lo, hi].
+	sortedRun := func(n, lo, hi int) []index.Entry {
+		es := make([]index.Entry, n)
+		for i := range es {
+			es[i] = index.Entry{Day: int32(lo + rng.Intn(hi-lo+1)), RecordID: uint64(rng.Intn(6)), Aux: uint32(rng.Intn(3))}
+		}
+		sortEntries(es)
+		return es
+	}
+	shapes := map[string]func(k int) [][]index.Entry{
+		"disjoint": func(k int) [][]index.Entry {
+			lists := make([][]index.Entry, k)
+			for i := range lists {
+				lists[i] = sortedRun(rng.Intn(6), 10*i, 10*i+9) // may be empty
+			}
+			return lists
+		},
+		"disjoint-shuffled": func(k int) [][]index.Entry {
+			lists := make([][]index.Entry, k)
+			for i, p := range rng.Perm(k) {
+				lists[i] = sortedRun(1+rng.Intn(5), 10*p, 10*p+9)
+			}
+			return lists
+		},
+		"touching": func(k int) [][]index.Entry {
+			// Each list ends on the very entry the next begins with.
+			lists := make([][]index.Entry, k)
+			for i := range lists {
+				edge := func(j int) index.Entry { return index.Entry{Day: int32(10 * j), RecordID: 1, Aux: 1} }
+				l := append([]index.Entry{edge(i)}, sortedRun(rng.Intn(4), 10*i+1, 10*i+9)...)
+				lists[i] = append(l, edge(i+1))
+			}
+			return lists
+		},
+		"interleaving": func(k int) [][]index.Entry {
+			lists := make([][]index.Entry, k)
+			for i := range lists {
+				lists[i] = sortedRun(rng.Intn(12), 0, 4)
+			}
+			return lists
+		},
+	}
+	for name, gen := range shapes {
+		t.Run(name, func(t *testing.T) {
+			for round := 0; round < 300; round++ {
+				lists := gen(1 + rng.Intn(5))
+				var want []index.Entry
+				live := 0
+				pristine := make([][]index.Entry, len(lists))
+				for i, l := range lists {
+					// Spare capacity is what an append-in-place merge would
+					// scribble on; give every input some.
+					lists[i] = append(make([]index.Entry, 0, len(l)+4), l...)
+					pristine[i] = append([]index.Entry(nil), l...)
+					want = append(want, l...)
+					if len(l) > 0 {
+						live++
+					}
+				}
+				sortEntries(want)
+				inputs := append([][]index.Entry(nil), lists...)
+				got := mergeEntryLists(lists)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("round %d: merge of %v = %v, want %v", round, pristine, got, want)
+				}
+				if live > 1 {
+					// The result is the caller's to mutate; if it shared
+					// memory with an input the scribble would show below.
+					for i := range got {
+						got[i].Aux = ^got[i].Aux
+					}
+				}
+				for i, in := range inputs {
+					if fmt.Sprint(in) != fmt.Sprint(pristine[i]) {
+						t.Fatalf("round %d: input %d now reads %v, was %v: rewritten by the merge or aliased by its result", round, i, in, pristine[i])
+					}
+					if tail := in[len(in):cap(in)]; fmt.Sprint(tail) != fmt.Sprint(make([]index.Entry, len(tail))) {
+						t.Fatalf("round %d: merge wrote past the end of input %d: %v", round, i, tail)
+					}
+				}
+			}
+		})
+	}
+}

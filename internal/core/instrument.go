@@ -104,6 +104,17 @@ type Tracer interface {
 	TraceEvent(ev TraceEvent)
 }
 
+// spanStart reads the clock for a span only when a tracer will receive
+// it; the per-constituent hot paths pair it with an explicit tr != nil
+// guard around the event so an untraced query neither reads the clock
+// nor builds a TraceEvent.
+func spanStart(tr Tracer) time.Time {
+	if tr == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
 // emit sends ev to tr if a tracer is wired.
 func emit(tr Tracer, ev TraceEvent) {
 	if tr != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"container/heap"
 	"context"
+	"sort"
 	"time"
 
 	"waveindex/internal/index"
@@ -13,19 +14,16 @@ import (
 // record, aux) within one bucket, scans by key — so the wave-level result
 // is assembled by merging rather than by re-sorting the concatenation.
 
-func entryLess(a, b index.Entry) bool {
-	if a.Day != b.Day {
-		return a.Day < b.Day
-	}
-	if a.RecordID != b.RecordID {
-		return a.RecordID < b.RecordID
-	}
-	return a.Aux < b.Aux
-}
-
 // mergeEntryLists merges per-constituent probe results, each sorted by
-// (day, record, aux), into one sorted slice. The list heads are selected
-// linearly: k is the number of constituents, which is small.
+// (day, record, aux), into one sorted slice. Constituents hold disjoint
+// day clusters, so the lists normally do not interleave: ordered by first
+// entry, each ends no later than the next begins, and the merge is one
+// copy per list. Lists that do interleave — soft-window leftovers,
+// in-place Adds across clusters — are merged run by run: the list with
+// the smallest head gives up, in one copy, everything not beyond the
+// next-smallest head. lists is reordered in place. With one non-empty
+// list that list itself is returned; with more the result is freshly
+// allocated and aliases no input (inputs may be shared cache entries).
 func mergeEntryLists(lists [][]index.Entry) []index.Entry {
 	live := lists[:0]
 	total := 0
@@ -41,22 +39,37 @@ func mergeEntryLists(lists [][]index.Entry) []index.Entry {
 	case 1:
 		return live[0]
 	}
-	out := make([]index.Entry, 0, total)
-	heads := make([]int, len(live))
-	for len(out) < total {
-		best := -1
-		for i, l := range live {
-			if heads[i] >= len(l) {
-				continue
-			}
-			if best < 0 || entryLess(l[heads[i]], live[best][heads[best]]) {
-				best = i
-			}
+	// Insertion sort by first entry: k is the number of constituents,
+	// which is small, and slot order is usually day order already.
+	for i := 1; i < len(live); i++ {
+		for j := i; j > 0 && index.EntryLess(live[j][0], live[j-1][0]); j-- {
+			live[j], live[j-1] = live[j-1], live[j]
 		}
-		out = append(out, live[best][heads[best]])
-		heads[best]++
 	}
-	return out
+	out := make([]index.Entry, 0, total)
+	for len(live) > 1 {
+		// live stays ordered by head, so live[0] has the smallest head
+		// and live[1] bounds the run it can give up. Equal entries are
+		// identical, so which list an equal one comes from is immaterial.
+		l, bound := live[0], live[1][0]
+		n := len(l)
+		if index.EntryLess(bound, l[n-1]) {
+			n = sort.Search(n, func(i int) bool { return index.EntryLess(bound, l[i]) })
+		}
+		out = append(out, l[:n]...)
+		if n == len(l) {
+			live = live[1:]
+			continue
+		}
+		// Re-insert the remainder by its new head.
+		l = l[n:]
+		j := 1
+		for ; j < len(live) && index.EntryLess(live[j][0], l[0]); j++ {
+			live[j-1] = live[j]
+		}
+		live[j-1] = l
+	}
+	return append(out, live[0]...)
 }
 
 // scanStreamBuf is the per-stream channel depth: deep enough to decouple

@@ -61,7 +61,7 @@ func newDirectory(kind DirKind) directory {
 	}
 }
 
-// hashDir is a map-backed directory with a cached sorted key list.
+// hashDir is a map-backed directory with a cached key-ordered listing.
 //
 // Mutation (set, delete) is only ever single-goroutine — in-place updates
 // hold the wave's write lock and shadow updates work on private copies —
@@ -69,9 +69,18 @@ func newDirectory(kind DirKind) directory {
 // maintenance goroutine cloning a live index, so the lazily built cache
 // needs its own lock.
 type hashDir struct {
-	m      map[string]*bucketRef
-	mu     sync.Mutex
-	sorted []string // cache; nil when dirty, guarded by mu
+	m  map[string]*bucketRef
+	mu sync.Mutex
+	// sorted caches the directory in key order, each key beside its
+	// bucket so a scan never goes back to the map; nil when dirty,
+	// guarded by mu. Every set and delete drops it: a set on an existing
+	// key replaces the pointer the cache would otherwise keep serving.
+	sorted []dirEntry
+}
+
+type dirEntry struct {
+	key string
+	b   *bucketRef
 }
 
 func (d *hashDir) get(key string) (*bucketRef, bool) {
@@ -79,37 +88,43 @@ func (d *hashDir) get(key string) (*bucketRef, bool) {
 	return b, ok
 }
 
+func (d *hashDir) invalidate() {
+	d.mu.Lock()
+	d.sorted = nil
+	d.mu.Unlock()
+}
+
 func (d *hashDir) set(key string, b *bucketRef) {
-	if _, exists := d.m[key]; !exists {
-		d.mu.Lock()
-		d.sorted = nil
-		d.mu.Unlock()
-	}
 	d.m[key] = b
+	d.invalidate()
 }
 
 func (d *hashDir) delete(key string) {
 	if _, exists := d.m[key]; exists {
 		delete(d.m, key)
-		d.mu.Lock()
-		d.sorted = nil
-		d.mu.Unlock()
+		d.invalidate()
 	}
 }
 
 func (d *hashDir) ascend(fn func(string, *bucketRef) bool) {
 	d.mu.Lock()
 	if d.sorted == nil {
-		d.sorted = make([]string, 0, len(d.m))
+		// Sorting bare strings is measurably cheaper than sorting the
+		// pairs, and Drop pays for this sort on every transition.
+		keys := make([]string, 0, len(d.m))
 		for k := range d.m {
-			d.sorted = append(d.sorted, k)
+			keys = append(keys, k)
 		}
-		sort.Strings(d.sorted)
+		sort.Strings(keys)
+		d.sorted = make([]dirEntry, len(keys))
+		for i, k := range keys {
+			d.sorted[i] = dirEntry{k, d.m[k]}
+		}
 	}
-	keys := d.sorted
+	ents := d.sorted
 	d.mu.Unlock()
-	for _, k := range keys {
-		if !fn(k, d.m[k]) {
+	for _, e := range ents {
+		if !fn(e.key, e.b) {
 			return
 		}
 	}

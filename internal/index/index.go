@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -103,31 +104,88 @@ func (idx *Index) bucketTarget(b *bucketRef) (simdisk.Extent, int64) {
 	return idx.seg, b.off
 }
 
-// readBucket returns the live entries of b. The transfer buffer is
-// pooled; the decoded entries are freshly allocated and safe to retain.
+// readBucket returns every live entry of b in stored order, for the
+// maintenance paths that rewrite a bucket (Delete, CONTIGUOUS overflow,
+// snapshots). Queries go through readRange or Scan instead.
 func (idx *Index) readBucket(b *bucketRef) ([]Entry, error) {
 	if b.used == 0 {
 		return nil, nil
 	}
-	buf, err := idx.readBucketRaw(b)
+	bp, err := idx.readBucketRaw(b)
 	if err != nil {
 		return nil, err
 	}
-	es := decodeEntries(buf, b.used)
-	putBuf(buf)
+	es := decodeEntries(*bp, b.used)
+	putBuf(bp)
 	return es, nil
 }
 
 // readBucketRaw reads b's encoded entries into a pooled buffer; the
 // caller must release it with putBuf.
-func (idx *Index) readBucketRaw(b *bucketRef) ([]byte, error) {
+func (idx *Index) readBucketRaw(b *bucketRef) (*[]byte, error) {
 	ext, base := idx.bucketTarget(b)
-	buf := getBuf(b.used * EntrySize)
-	if err := idx.store.ReadAt(ext, base, buf); err != nil {
-		putBuf(buf)
+	bp := getBuf(b.used * EntrySize)
+	if err := idx.store.ReadAt(ext, base, *bp); err != nil {
+		putBuf(bp)
 		return nil, err
 	}
-	return buf, nil
+	return bp, nil
+}
+
+// dayAt reads the day timestamp of the encoded entry starting at p[0].
+func dayAt(p []byte) int {
+	return int(int32(binary.LittleEndian.Uint32(p[12:16])))
+}
+
+// readRange is the query-side bucket reader: one transfer of b into a
+// pooled buffer, then one decode of the entries timestamped in [t1, t2]
+// straight into a slice of exactly their number, in (day, record, aux)
+// order. BuildPacked and day-at-a-time Adds lay buckets out in that order
+// already, so the decode only checks it and the sort runs just for
+// buckets that really are out of order. The result is freshly allocated.
+func (idx *Index) readRange(b *bucketRef, t1, t2 int) ([]Entry, error) {
+	if b.used == 0 {
+		return nil, nil
+	}
+	bp, err := idx.readBucketRaw(b)
+	if err != nil {
+		return nil, err
+	}
+	es := decodeRange(*bp, t1, t2)
+	putBuf(bp)
+	return es, nil
+}
+
+// decodeRange decodes the entries of buf timestamped in [t1, t2], sorted
+// by (day, record, aux). Sizing the result first costs a pass over the
+// day fields alone, a quarter of the bytes, and spares both growth
+// copies and a result that pins a whole bucket for a one-day answer.
+func decodeRange(buf []byte, t1, t2 int) []Entry {
+	n := 0
+	for off := 0; off+EntrySize <= len(buf); off += EntrySize {
+		if d := dayAt(buf[off:]); d >= t1 && d <= t2 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Entry, 0, n)
+	sorted := true
+	for off := 0; len(out) < n; off += EntrySize {
+		e := decodeEntry(buf[off:])
+		if int(e.Day) < t1 || int(e.Day) > t2 {
+			continue
+		}
+		if sorted && len(out) > 0 && EntryLess(e, out[len(out)-1]) {
+			sorted = false
+		}
+		out = append(out, e)
+	}
+	if !sorted {
+		SortEntries(out)
+	}
+	return out
 }
 
 // Add incrementally indexes the postings of the given day batches using
@@ -167,9 +225,9 @@ func (idx *Index) addToBucket(key string, es []Entry) error {
 		if err != nil {
 			return err
 		}
-		buf := encodeEntries(es)
-		err = idx.store.WriteAt(ext, 0, buf)
-		putBuf(buf)
+		bp := encodeEntries(es)
+		err = idx.store.WriteAt(ext, 0, *bp)
+		putBuf(bp)
 		if err != nil {
 			return err
 		}
@@ -183,9 +241,9 @@ func (idx *Index) addToBucket(key string, es []Entry) error {
 	}
 	if b.used+len(es) <= b.cap {
 		ext, base := idx.bucketTarget(b)
-		buf := encodeEntries(es)
-		err := idx.store.WriteAt(ext, base+int64(b.used*EntrySize), buf)
-		putBuf(buf)
+		bp := encodeEntries(es)
+		err := idx.store.WriteAt(ext, base+int64(b.used*EntrySize), *bp)
+		putBuf(bp)
 		if err != nil {
 			return err
 		}
@@ -212,9 +270,9 @@ func (idx *Index) addToBucket(key string, es []Entry) error {
 		return err
 	}
 	merged := append(old, es...)
-	buf := encodeEntries(merged)
-	werr := idx.store.WriteAt(ext, 0, buf)
-	putBuf(buf)
+	bp := encodeEntries(merged)
+	werr := idx.store.WriteAt(ext, 0, *bp)
+	putBuf(bp)
 	if werr != nil {
 		return werr
 	}
@@ -294,9 +352,9 @@ func (idx *Index) Delete(days ...int) error {
 			idx.dir.delete(c.key)
 		} else {
 			ext, base := idx.bucketTarget(c.b)
-			buf := encodeEntries(c.kept)
-			werr := idx.store.WriteAt(ext, base, buf)
-			putBuf(buf)
+			bp := encodeEntries(c.kept)
+			werr := idx.store.WriteAt(ext, base, *bp)
+			putBuf(bp)
 			if werr != nil {
 				return fmt.Errorf("index: delete: %w", werr)
 			}
@@ -312,25 +370,61 @@ func (idx *Index) Delete(days ...int) error {
 	return nil
 }
 
-// Probe retrieves the entries filed under key whose timestamps fall in
-// [t1, t2] (inclusive), sorted by (day, record, aux). It costs one bucket
-// read: a seek plus the transfer of the bucket. Probing a key with no
-// bucket returns no entries.
-func (idx *Index) Probe(key string, t1, t2 int) ([]Entry, error) {
+// Bucket is a located bucket: the outcome of a directory look-up, which
+// costs no I/O and already knows how many entries a read would transfer.
+// Splitting a probe into Locate and Read lets the caller decide where the
+// read runs from what it is about to read. A Bucket is valid for as long
+// as a probe of the index would be: until the next mutation.
+type Bucket struct {
+	idx *Index
+	key string
+	ref *bucketRef // nil when the key has no bucket
+}
+
+// Locate looks key up in the directory.
+func (idx *Index) Locate(key string) (Bucket, error) {
 	if idx.dropped {
+		return Bucket{}, ErrDropped
+	}
+	ref, _ := idx.dir.get(key)
+	return Bucket{idx: idx, key: key, ref: ref}, nil
+}
+
+// Len returns the number of entries stored in the bucket, 0 when the key
+// has none.
+func (b Bucket) Len() int {
+	if b.ref == nil {
+		return 0
+	}
+	return b.ref.used
+}
+
+// Read retrieves the bucket's entries whose timestamps fall in [t1, t2]
+// (inclusive), sorted by (day, record, aux). It costs one bucket read: a
+// seek plus the transfer of the bucket; a key with no bucket costs
+// nothing and returns no entries.
+func (b Bucket) Read(t1, t2 int) ([]Entry, error) {
+	if b.idx.dropped {
 		return nil, ErrDropped
 	}
-	b, ok := idx.dir.get(key)
-	if !ok {
+	if b.ref == nil {
 		return nil, nil
 	}
-	es, err := idx.readBucket(b)
+	es, err := b.idx.readRange(b.ref, t1, t2)
 	if err != nil {
-		return nil, fmt.Errorf("index: probe %q: %w", key, err)
+		return nil, fmt.Errorf("index: probe %q: %w", b.key, err)
 	}
-	es = filterByDay(es, t1, t2)
-	SortEntries(es)
 	return es, nil
+}
+
+// Probe retrieves the entries filed under key whose timestamps fall in
+// [t1, t2]: Locate, then Read.
+func (idx *Index) Probe(key string, t1, t2 int) ([]Entry, error) {
+	b, err := idx.Locate(key)
+	if err != nil {
+		return nil, err
+	}
+	return b.Read(t1, t2)
 }
 
 // ProbeMulti probes several keys in one pass, returning per-key entry
@@ -361,15 +455,11 @@ func (idx *Index) ProbeMulti(keys []string, t1, t2 int) ([][]Entry, error) {
 	sort.Slice(reqs, func(a, b int) bool { return reqs[a].pos < reqs[b].pos })
 	out := make([][]Entry, len(keys))
 	for _, r := range reqs {
-		es, err := idx.readBucket(r.b)
+		es, err := idx.readRange(r.b, t1, t2)
 		if err != nil {
 			return nil, fmt.Errorf("index: multiprobe %q: %w", keys[r.i], err)
 		}
-		es = filterByDay(es, t1, t2)
-		SortEntries(es)
-		if len(es) > 0 {
-			out[r.i] = es
-		}
+		out[r.i] = es
 	}
 	return out, nil
 }
@@ -377,24 +467,31 @@ func (idx *Index) ProbeMulti(keys []string, t1, t2 int) ([][]Entry, error) {
 // Scan visits every entry with a timestamp in [t1, t2] in ascending key
 // order, stopping early if fn returns false. On a packed index the buckets
 // are laid out in key order, so the scan is one seek plus a sequential
-// transfer of the whole segment.
+// transfer of the whole segment. Entries are decoded out of the pooled
+// transfer buffer as they are visited, in stored order; no per-bucket
+// entry list is built.
 func (idx *Index) Scan(t1, t2 int, fn func(key string, e Entry) bool) error {
 	if idx.dropped {
 		return ErrDropped
 	}
 	var err error
 	idx.dir.ascend(func(key string, b *bucketRef) bool {
-		var es []Entry
-		es, err = idx.readBucket(b)
+		if b.used == 0 {
+			return true
+		}
+		var bp *[]byte
+		bp, err = idx.readBucketRaw(b)
 		if err != nil {
 			return false
 		}
-		for _, e := range filterByDay(es, t1, t2) {
-			if !fn(key, e) {
-				return false
+		buf, more := *bp, true
+		for off := 0; more && off < len(buf); off += EntrySize {
+			if d := dayAt(buf[off:]); d >= t1 && d <= t2 {
+				more = fn(key, decodeEntry(buf[off:]))
 			}
 		}
-		return true
+		putBuf(bp)
+		return more
 	})
 	if err != nil {
 		return fmt.Errorf("index: scan: %w", err)
@@ -402,28 +499,22 @@ func (idx *Index) Scan(t1, t2 int, fn func(key string, e Entry) bool) error {
 	return nil
 }
 
-func filterByDay(es []Entry, t1, t2 int) []Entry {
-	out := make([]Entry, 0, len(es))
-	for _, e := range es {
-		if int(e.Day) >= t1 && int(e.Day) <= t2 {
-			out = append(out, e)
-		}
+// EntryLess reports whether a sorts before b in (day, record, aux) order,
+// the canonical order of probe results.
+func EntryLess(a, b Entry) bool {
+	if a.Day != b.Day {
+		return a.Day < b.Day
 	}
-	return out
+	if a.RecordID != b.RecordID {
+		return a.RecordID < b.RecordID
+	}
+	return a.Aux < b.Aux
 }
 
 // SortEntries orders entries by (day, record, aux) — the canonical probe
 // result order, which makes per-constituent results mergeable streams.
 func SortEntries(es []Entry) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Day != es[j].Day {
-			return es[i].Day < es[j].Day
-		}
-		if es[i].RecordID != es[j].RecordID {
-			return es[i].RecordID < es[j].RecordID
-		}
-		return es[i].Aux < es[j].Aux
-	})
+	sort.Slice(es, func(i, j int) bool { return EntryLess(es[i], es[j]) })
 }
 
 // Drop frees all storage held by the index and marks it unusable. This is

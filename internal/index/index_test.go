@@ -479,7 +479,9 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 		{RecordID: ^uint64(0), Aux: ^uint32(0), Day: -5},
 		{RecordID: 123456789, Aux: 42, Day: 30000},
 	}
-	buf := encodeEntries(es)
+	bp := encodeEntries(es)
+	defer putBuf(bp)
+	buf := *bp
 	if len(buf) != len(es)*EntrySize {
 		t.Fatalf("encoded %d bytes, want %d", len(buf), len(es)*EntrySize)
 	}
@@ -566,5 +568,132 @@ func TestRandomizedModelConformance(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// referenceRead is what the query path did before the one-pass reader:
+// decode everything, filter by day, sort. Tests hold readRange to it.
+func referenceRead(raw []byte, t1, t2 int) []Entry {
+	var out []Entry
+	for _, e := range decodeEntries(raw, len(raw)/EntrySize) {
+		if int(e.Day) >= t1 && int(e.Day) <= t2 {
+			out = append(out, e)
+		}
+	}
+	SortEntries(out)
+	return out
+}
+
+// FuzzBucketRead holds the query-side bucket reader to the reference for
+// arbitrary bucket bytes and day ranges. The bytes become one key's
+// postings: the first split of them laid out by BuildPacked, the rest
+// appended by Add exactly as they come — so the stored bucket is in
+// general out of (day, record, aux) order — and Probe, ProbeMulti and
+// Scan must all agree with decode → filter → sort of what is stored.
+func FuzzBucketRead(f *testing.F) {
+	enc := func(es ...Entry) []byte {
+		buf := make([]byte, len(es)*EntrySize)
+		encodeEntriesInto(buf, es)
+		return buf
+	}
+	f.Add([]byte{}, 0, 0, uint8(0))
+	f.Add(enc(Entry{1, 0, 1}, Entry{2, 0, 1}, Entry{1, 0, 2}), 1, 2, uint8(3))  // sorted
+	f.Add(enc(Entry{1, 0, 1}, Entry{2, 0, 1}, Entry{1, 0, 2}), 2, 2, uint8(3))  // a suffix qualifies
+	f.Add(enc(Entry{9, 0, 3}, Entry{2, 0, 1}, Entry{2, 0, 1}), -5, 5, uint8(1)) // unsorted, duplicates
+	f.Add(enc(Entry{1, 7, 2}, Entry{1, 3, 2}, Entry{0, 0, -1}), -1, 2, uint8(0))
+	f.Add(enc(Entry{1, 0, 1}), 5, 2, uint8(1)) // empty range
+	f.Fuzz(func(t *testing.T, raw []byte, t1, t2 int, split uint8) {
+		raw = raw[:len(raw)/EntrySize*EntrySize]
+		if len(raw) > 64*EntrySize {
+			raw = raw[:64*EntrySize]
+		}
+		want := referenceRead(raw, t1, t2)
+		if got := decodeRange(raw, t1, t2); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("decodeRange = %v, want %v", got, want)
+		}
+
+		es := decodeEntries(raw, len(raw)/EntrySize)
+		cut := min(int(split), len(es))
+		post := func(es []Entry) *Batch {
+			b := &Batch{Day: 1}
+			for _, e := range es {
+				b.Postings = append(b.Postings, Posting{Key: "k", Entry: e})
+			}
+			return b
+		}
+		idx, err := BuildPacked(newStore(t), Options{}, post(es[:cut]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := idx.Add(post(es[cut:])); err != nil {
+			t.Fatal(err)
+		}
+		got, err := idx.Probe("k", t1, t2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("Probe = %v, want %v", got, want)
+		}
+		if len(got) != cap(got) {
+			t.Errorf("Probe result has len %d, cap %d: not exactly sized", len(got), cap(got))
+		}
+		multi, err := idx.ProbeMulti([]string{"absent", "k"}, t1, t2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if multi[0] != nil || fmt.Sprint(multi[1]) != fmt.Sprint(want) {
+			t.Fatalf("ProbeMulti = %v, want [[] %v]", multi, want)
+		}
+		// Scan keeps stored order, so compare as sorted lists.
+		var scanned []Entry
+		if err := idx.Scan(t1, t2, func(key string, e Entry) bool {
+			if key != "k" {
+				t.Errorf("Scan visited key %q", key)
+			}
+			scanned = append(scanned, e)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		SortEntries(scanned)
+		if fmt.Sprint(scanned) != fmt.Sprint(want) {
+			t.Fatalf("Scan visited %v, want %v", scanned, want)
+		}
+	})
+}
+
+// TestHashDirAscendSeesMutations pins the cached key-ordered listing of
+// the hash directory: a set that replaces an existing key's bucket and a
+// delete, both after an ascend has built the cache, must be what the next
+// ascend serves.
+func TestHashDirAscendSeesMutations(t *testing.T) {
+	d := newDirectory(HashDir)
+	a, b, c := &bucketRef{used: 1}, &bucketRef{used: 2}, &bucketRef{used: 3}
+	d.set("a", a)
+	d.set("b", b)
+	d.set("c", c)
+	list := func() string {
+		var out []string
+		d.ascend(func(k string, r *bucketRef) bool {
+			out = append(out, fmt.Sprintf("%s=%d", k, r.used))
+			return true
+		})
+		return fmt.Sprint(out)
+	}
+	if got := list(); got != "[a=1 b=2 c=3]" {
+		t.Fatalf("ascend = %s", got)
+	}
+	d.set("b", &bucketRef{used: 20}) // replace: same key, new bucket
+	if got := list(); got != "[a=1 b=20 c=3]" {
+		t.Errorf("after set-replace, ascend = %s", got)
+	}
+	d.delete("a")
+	if got := list(); got != "[b=20 c=3]" {
+		t.Errorf("after delete, ascend = %s", got)
+	}
+	b.used = 99 // the replaced bucket is out of the directory for good
+	if got := list(); got != "[b=20 c=3]" {
+		t.Errorf("replaced bucket still served: ascend = %s", got)
 	}
 }

@@ -121,21 +121,24 @@ var bufPool = sync.Pool{
 // transient ever seen instead of the working set.
 const maxPooledBuf = 1 << 20
 
-// getBuf returns a length-n buffer from the pool.
-func getBuf(n int) []byte {
+// getBuf returns a pooled buffer resliced to length n. The pointer is the
+// pool's own box: handing it back to putBuf, instead of boxing the slice
+// afresh, is what lets a pooled bucket read allocate nothing.
+func getBuf(n int) *[]byte {
 	bp := bufPool.Get().(*[]byte)
 	if cap(*bp) < n {
 		*bp = make([]byte, n)
 	}
-	return (*bp)[:n]
+	*bp = (*bp)[:n]
+	return bp
 }
 
 // putBuf returns a buffer obtained from getBuf to the pool. The caller
 // must not retain any reference into it. Buffers over maxPooledBuf are
 // dropped for the GC instead of pooled.
-func putBuf(b []byte) {
-	if cap(b) > maxPooledBuf {
+func putBuf(bp *[]byte) {
+	if cap(*bp) > maxPooledBuf {
 		return
 	}
-	bufPool.Put(&b)
+	bufPool.Put(bp)
 }

@@ -160,13 +160,13 @@ func TestChunkRanges(t *testing.T) {
 func TestBufPoolStabilises(t *testing.T) {
 	// Pool-sized buffers are recycled: capacity survives a round trip.
 	b := getBuf(512)
-	b = append(b[:0], make([]byte, 4096)...) // grow within the cap
+	*b = append((*b)[:0], make([]byte, 4096)...) // grow within the cap
 	putBuf(b)
 
 	// An outsized buffer must be dropped on put...
 	huge := getBuf(maxPooledBuf + 1)
-	if cap(huge) <= maxPooledBuf {
-		t.Fatalf("getBuf(%d) cap = %d", maxPooledBuf+1, cap(huge))
+	if cap(*huge) <= maxPooledBuf {
+		t.Fatalf("getBuf(%d) cap = %d", maxPooledBuf+1, cap(*huge))
 	}
 	putBuf(huge)
 
@@ -175,8 +175,8 @@ func TestBufPoolStabilises(t *testing.T) {
 	// misses too.
 	for i := 0; i < 64; i++ {
 		g := getBuf(64)
-		if cap(g) > maxPooledBuf {
-			t.Fatalf("get %d returned over-cap buffer: cap %d > %d", i, cap(g), maxPooledBuf)
+		if cap(*g) > maxPooledBuf {
+			t.Fatalf("get %d returned over-cap buffer: cap %d > %d", i, cap(*g), maxPooledBuf)
 		}
 		putBuf(g)
 	}
@@ -194,13 +194,14 @@ func TestBufPoolReuseUnderChurn(t *testing.T) {
 			sizes := []int{16, 900, 64 << 10, maxPooledBuf + 7}
 			for i := 0; i < 200; i++ {
 				n := sizes[(w+i)%len(sizes)]
-				b := getBuf(n)
+				bp := getBuf(n)
+				b := *bp
 				if len(b) != n {
 					t.Errorf("getBuf(%d) len = %d", n, len(b))
 					return
 				}
 				b[0], b[n-1] = byte(w), byte(i)
-				putBuf(b)
+				putBuf(bp)
 			}
 		}(w)
 	}

@@ -39,9 +39,9 @@ func (idx *Index) WriteSnapshot(w io.Writer) error {
 		if err != nil {
 			return false
 		}
-		buf := encodeEntries(es)
-		ww.Bytes(buf)
-		putBuf(buf)
+		bp := encodeEntries(es)
+		ww.Bytes(*bp)
+		putBuf(bp)
 		return true
 	})
 	if err != nil {
@@ -135,9 +135,9 @@ func ReadSnapshot(store simdisk.BlockStore, r io.Reader) (*Index, error) {
 			if err != nil {
 				return nil, fmt.Errorf("index: restore: %w", err)
 			}
-			ebuf := encodeEntries(b.entries)
-			werr := store.WriteAt(ext, 0, ebuf)
-			putBuf(ebuf)
+			bp := encodeEntries(b.entries)
+			werr := store.WriteAt(ext, 0, *bp)
+			putBuf(bp)
 			if werr != nil {
 				return nil, fmt.Errorf("index: restore: %w", werr)
 			}

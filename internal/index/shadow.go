@@ -30,13 +30,13 @@ func (idx *Index) Clone() (*Index, error) {
 		}
 		out.seg = seg
 		out.allocBytes += seg.Bytes(idx.store.BlockSize())
-		buf := getBuf(int(idx.seg.Bytes(idx.store.BlockSize())))
-		if err := idx.store.ReadAt(idx.seg, 0, buf); err != nil {
-			putBuf(buf)
+		bp := getBuf(int(idx.seg.Bytes(idx.store.BlockSize())))
+		if err := idx.store.ReadAt(idx.seg, 0, *bp); err != nil {
+			putBuf(bp)
 			return nil, fmt.Errorf("index: clone: %w", err)
 		}
-		werr := idx.store.WriteAt(seg, 0, buf)
-		putBuf(buf)
+		werr := idx.store.WriteAt(seg, 0, *bp)
+		putBuf(bp)
 		if werr != nil {
 			return nil, fmt.Errorf("index: clone: %w", werr)
 		}
@@ -51,13 +51,13 @@ func (idx *Index) Clone() (*Index, error) {
 				return false
 			}
 			out.allocBytes += ext.Bytes(idx.store.BlockSize())
-			buf := getBuf(b.used * EntrySize)
-			if err = idx.store.ReadAt(b.ext, 0, buf); err != nil {
-				putBuf(buf)
+			bp := getBuf(b.used * EntrySize)
+			if err = idx.store.ReadAt(b.ext, 0, *bp); err != nil {
+				putBuf(bp)
 				return false
 			}
-			err = idx.store.WriteAt(ext, 0, buf)
-			putBuf(buf)
+			err = idx.store.WriteAt(ext, 0, *bp)
+			putBuf(bp)
 			if err != nil {
 				return false
 			}
@@ -91,14 +91,14 @@ func (idx *Index) PackedMerge(expire []int, adds ...*Batch) (*Index, error) {
 	// that part is pure CPU work on private buffers.
 	type rawBucket struct {
 		key  string
-		raw  []byte
+		raw  *[]byte
 		used int
 		kept []Entry
 	}
 	var raws []rawBucket
 	var err error
 	idx.dir.ascend(func(key string, b *bucketRef) bool {
-		var raw []byte
+		var raw *[]byte
 		raw, err = idx.readBucketRaw(b)
 		if err != nil {
 			return false
@@ -119,7 +119,7 @@ func (idx *Index) PackedMerge(expire []int, adds ...*Batch) (*Index, error) {
 			rb := &raws[i]
 			kept := make([]Entry, 0, rb.used)
 			for j := 0; j < rb.used; j++ {
-				e := decodeEntry(rb.raw[j*EntrySize:])
+				e := decodeEntry((*rb.raw)[j*EntrySize:])
 				if _, x := gone[e.Day]; !x {
 					kept = append(kept, e)
 				}
@@ -194,7 +194,8 @@ func buildFromGroups(store simdisk.BlockStore, opts Options, groups map[string][
 		idx.dir.set(k, &bucketRef{off: off, used: len(es), cap: len(es)})
 		off += int64(len(es) * EntrySize)
 	}
-	buf := getBuf(total * EntrySize)
+	bp := getBuf(total * EntrySize)
+	buf := *bp
 	ranges := chunkRanges(len(keys), opts.Parallelism)
 	runWorkers(opts.Parallelism, len(ranges), func(ci int) error {
 		r := ranges[ci]
@@ -204,7 +205,7 @@ func buildFromGroups(store simdisk.BlockStore, opts Options, groups map[string][
 		return nil
 	})
 	werr := store.WriteAt(seg, 0, buf)
-	putBuf(buf)
+	putBuf(bp)
 	if werr != nil {
 		return nil, werr
 	}

@@ -254,6 +254,57 @@ func TestCacheRetentionBySchemes(t *testing.T) {
 	}
 }
 
+// TestWarmAggregateStaysOnCaller checks the look-up-then-fold shape of
+// the aggregate: once every qualifying constituent's partial is cached,
+// a repeated aggregate scans nothing, reports one worker (the caller's
+// goroutine, not the pool), returns the same Agg, and still honours a
+// cancelled context.
+func TestWarmAggregateStaysOnCaller(t *testing.T) {
+	tr := &memTracer{}
+	x, err := New(Config{Window: 6, Indexes: 3, Scheme: DEL, Parallelism: 4, CacheResults: 1 << 16, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	for d := 1; d <= 8; d++ {
+		if err := x.AddDay(d, chaosPostings(d, 14, 99)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	from, to := x.Window()
+	ctx := context.Background()
+	for _, kind := range []AggKind{AggCount, AggDays, AggKeys} {
+		cold, err := x.Aggregate(ctx, kind, from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scans, before := tr.kinds()["scan.constituent"], x.Metrics().Histogram("query_workers")
+		if scans < 2 {
+			t.Fatalf("kind %d: cold aggregate scanned %d constituents, want several", kind, scans)
+		}
+		warm, err := x.Aggregate(ctx, kind, from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(warm) != fmt.Sprint(cold) {
+			t.Errorf("kind %d: warm aggregate %v != cold %v", kind, warm, cold)
+		}
+		if got := tr.kinds()["scan.constituent"]; got != scans {
+			t.Errorf("kind %d: warm aggregate scanned %d constituents, want 0", kind, got-scans)
+		}
+		after := x.Metrics().Histogram("query_workers")
+		if after.Count != before.Count+1 || after.Sum != before.Sum+1 {
+			t.Errorf("kind %d: warm aggregate observed query_workers %d times, sum +%d; want once, 1 worker",
+				kind, after.Count-before.Count, after.Sum-before.Sum)
+		}
+		done, cancel := context.WithCancel(ctx)
+		cancel()
+		if _, err := x.Aggregate(done, kind, from, to); !errors.Is(err, context.Canceled) {
+			t.Errorf("kind %d: warm aggregate under a cancelled ctx = %v, want context.Canceled", kind, err)
+		}
+	}
+}
+
 // TestCacheCrashRecoveryNoStaleResults arms one crash point per scheme
 // on a fully cached journaled index, warms the cache right before every
 // transition, crashes mid-transition, recovers, and re-compares against

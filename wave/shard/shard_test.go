@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -34,10 +35,39 @@ func workload(d int) []wave.Posting {
 	return ps
 }
 
+// Keys boundWorkload sizes against core.InlineProbeEntries; absent from
+// the plain workload.
+const (
+	boundAt   = "bound-at"   // exactly the constant over any W days
+	boundOver = "bound-over" // one entry more
+)
+
+// boundWorkload is workload(d) plus the two bound keys. A day's share of
+// a key depends only on d mod W, so any W consecutive days hold exactly
+// core.InlineProbeEntries entries of boundAt and one more of boundOver:
+// on a hard-window scheme the first is the largest probe still read on
+// the caller's goroutine and the second the smallest read on the pool.
+func boundWorkload(d, W int) []wave.Posting {
+	ps := workload(d)
+	for i, key := range []string{boundAt, boundOver} {
+		total := core.InlineProbeEntries + i
+		n := total / W
+		if d%W < total%W {
+			n++
+		}
+		for j := 0; j < n; j++ {
+			ps = append(ps, wave.Posting{Key: key, Entry: wave.Entry{
+				RecordID: uint64(d*100000 + j), Aux: uint32(j % 7), Day: int32(d),
+			}})
+		}
+	}
+	return ps
+}
+
 // probeKeys is the fixed batch every render probes: hot keys, a few
-// day-local keys, and keys that never exist.
+// day-local keys, the bound keys, and keys that never exist.
 func probeKeys(from, to int) []string {
-	keys := []string{"hotA", "hotB", "hotC", "evens", "missing", "alsomissing"}
+	keys := []string{"hotA", "hotB", "hotC", "evens", boundAt, boundOver, "missing", "alsomissing"}
 	for d := from; d <= to; d++ {
 		keys = append(keys, fmt.Sprintf("day%da", d), fmt.Sprintf("day%db", d))
 	}
@@ -258,6 +288,174 @@ func TestShardedEquivalence(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestShardedEquivalenceAcrossInlineBound takes the acceptance suite to
+// where a probe changes execution: the same keys, sized just at and just
+// above core.InlineProbeEntries, rendered by fleets at query parallelism
+// 1 and 4 with the result cache off, cold and warm. Where the bucket
+// reads run is invisible: every answer is byte-identical to an unsharded
+// sequential index's, and after each round of probes the parallelism-1
+// and parallelism-4 fleets have charged the identical Work() ledger.
+func TestShardedEquivalenceAcrossInlineBound(t *testing.T) {
+	const W, N, days, shards = 6, 3, 9, 3
+	for _, kind := range core.Kinds {
+		kind := kind
+		t.Run(kind.String(), func(t *testing.T) {
+			t.Parallel()
+			cfg := wave.Config{Window: W, Indexes: N, Scheme: kind, Update: wave.SimpleShadow, Parallelism: 1}
+			single, err := wave.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer single.Close()
+			// fleets[c][p]: result cache off/on × parallelism 1/4.
+			var fleets [2][2]*Router
+			for c, rows := range []int{0, 1 << 16} {
+				for p, par := range []int{1, 4} {
+					cfg.CacheResults, cfg.Parallelism = rows, par
+					r, err := New(Config{Shards: shards, Base: cfg})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer r.Close()
+					fleets[c][p] = r
+				}
+			}
+			for d := 1; d <= days; d++ {
+				ps := boundWorkload(d, W)
+				if err := single.AddDay(d, ps); err != nil {
+					t.Fatal(err)
+				}
+				for _, pair := range fleets {
+					for _, r := range pair {
+						if err := r.AddDay(d, ps); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			// Single-key probes alone: scans and batched probes run their
+			// constituents concurrently at parallelism 4, and on one store
+			// the order they happen to interleave in decides which reads
+			// are sequential — so only probe traffic has a ledger that
+			// parallelism must not move.
+			probes := func(q wave.Querier) string {
+				var b strings.Builder
+				from, to := q.Window()
+				// Descending key order: a bucket ends where its successor's
+				// begins, and whether a probe of the successor then starts
+				// sequentially would hang on which constituent a pooled
+				// probe happened to read last.
+				for _, key := range []string{"hotC", "hotA", boundOver, boundAt} {
+					for _, lo := range []int{from, (from + to) / 2} {
+						es, err := q.ProbeRange(context.Background(), key, lo, to)
+						if err != nil {
+							t.Fatalf("ProbeRange(%q, %d, %d): %v", key, lo, to, err)
+						}
+						fmt.Fprintln(&b, key, lo, es)
+					}
+				}
+				return b.String()
+			}
+			wantProbes, want := probes(single), render(t, single)
+			for c, pair := range fleets {
+				for _, pass := range []string{"cold", "warm"}[:1+c] {
+					for p, r := range pair {
+						if got := probes(r); got != wantProbes {
+							t.Fatalf("cache=%d %s parallelism=%d: probes diverge from the sequential single index", c, pass, 1+3*p)
+						}
+					}
+					if seq, par := fmt.Sprint(pair[0].Work()), fmt.Sprint(pair[1].Work()); seq != par {
+						t.Fatalf("cache=%d %s: Work() ledgers differ\nparallelism 1: %s\nparallelism 4: %s", c, pass, seq, par)
+					}
+				}
+				for p, r := range pair {
+					if got := render(t, r); got != want {
+						t.Fatalf("cache=%d parallelism=%d: render diverges from the sequential single index", c, 1+3*p)
+					}
+				}
+			}
+			if !single.HardWindow() {
+				return // soft windows hold expired days: both keys are over
+			}
+			// The two keys really do straddle the constant: one worker for
+			// the inline read, several for the pooled one.
+			workers := func(r *Router, key string) int64 {
+				before := r.Metrics().Histogram("query_workers")
+				if _, err := r.Probe(context.Background(), key); err != nil {
+					t.Fatal(err)
+				}
+				after := r.Metrics().Histogram("query_workers")
+				if after.Count != before.Count+1 {
+					t.Fatalf("Probe(%q) observed query_workers %d times", key, after.Count-before.Count)
+				}
+				return after.Sum - before.Sum
+			}
+			for key, want := range map[string][2]bool{boundAt: {false, false}, boundOver: {false, true}} {
+				for p, r := range fleets[0] {
+					if got := workers(r, key); (got > 1) != want[p] {
+						t.Errorf("Probe(%q) at parallelism %d ran on %d workers; pooled should be %v", key, 1+3*p, got, want[p])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRouterProbeAllocCeilings pins what the read path may allocate at
+// shard.Router.Probe: a small key spread over every constituent at most
+// 16 objects (29 before the one-pass reader), and a big key read inline
+// at most 2.2 times its result's 16 B an entry — one decode and one merge
+// copy, where the four-copy path took 3.1 times. It is not parallel, so
+// nothing else in the package allocates while it counts.
+func TestRouterProbeAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	const W = 7
+	r, err := New(Config{Shards: 2, Base: wave.Config{Window: W, Indexes: 4, Scheme: wave.REINDEX}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for d := 1; d <= W; d++ {
+		if err := r.AddDay(d, boundWorkload(d, W)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	probe := func(key string) int {
+		es, err := r.Probe(ctx, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(es)
+	}
+	if n := probe("hotA"); n != W {
+		t.Fatalf("hotA has %d entries, want %d", n, W)
+	}
+	if got := testing.AllocsPerRun(200, func() { probe("hotA") }); got > 16 {
+		t.Errorf("Probe of a %d-entry key spread over every constituent: %.0f allocs, ceiling 16", W, got)
+	}
+	// The pooled read's goroutines now and then find their P's buffer
+	// pool empty and allocate a transfer buffer anew, hence its slack.
+	for _, c := range []struct {
+		key     string
+		ceiling float64 // × 16 B × entries
+	}{{boundAt, 2.2}, {boundOver, 2.5}} {
+		const runs = 50
+		n := probe(c.key)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			probe(c.key)
+		}
+		runtime.ReadMemStats(&after)
+		if ratio := float64(after.TotalAlloc-before.TotalAlloc) / runs / 16 / float64(n); ratio > c.ceiling {
+			t.Errorf("Probe(%q), %d entries: %.2f × 16 B × entries allocated, ceiling %.1f", c.key, n, ratio, c.ceiling)
 		}
 	}
 }

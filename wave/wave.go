@@ -553,8 +553,10 @@ func (x *Index) HardWindow() bool { return x.scheme.HardWindow() }
 // (inclusive), ordered by (day, record). This is the paper's
 // TimedIndexProbe: only constituents whose clusters intersect the range
 // are read. The query engine issues the per-constituent reads
-// concurrently when its pool allows it; with Parallelism 1 the reads run
-// sequentially on the caller's goroutine. Once ctx is done the query
+// concurrently when its pool allows it and the buckets are big enough to
+// repay the hand-off (core.InlineProbeEntries); a smaller probe, and any
+// probe at Parallelism 1, reads them sequentially on the caller's
+// goroutine — same result, same disk cost. Once ctx is done the query
 // stops issuing constituent reads and returns ctx's error.
 func (x *Index) ProbeRange(ctx context.Context, key string, from, to int) ([]Entry, error) {
 	if err := x.queryable(); err != nil {
